@@ -3,7 +3,7 @@
 
 use apiphany_mining::{mine_types, parse_query, Granularity, MiningConfig};
 use apiphany_spec::fixtures::{fig4_witnesses, fig7_library};
-use apiphany_synth::{Budget, SynthesisConfig, Synthesizer};
+use apiphany_synth::{Budget, CancelToken, SynthEvent, SynthesisConfig, Synthesizer};
 use apiphany_ttn::{build_ttn, BuildOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -25,7 +25,14 @@ fn bench_granularity(c: &mut Criterion) {
                     budget: Budget { max_candidates: Some(200), ..Budget::depth(7) },
                     ..SynthesisConfig::default()
                 };
-                synth.synthesize_all(&q, &cfg).0.len()
+                let mut candidates = Vec::new();
+                synth.synthesize(&q, &cfg, &CancelToken::new(), &mut |event| {
+                    if let SynthEvent::Candidate(c) = event {
+                        candidates.push(c);
+                    }
+                    true
+                });
+                candidates.len()
             })
         });
     }

@@ -2,7 +2,7 @@
 //! representative easy benchmarks (Table 2's sub-second rows).
 
 use apiphany_mining::parse_query;
-use apiphany_synth::{Budget, SynthesisConfig, Synthesizer};
+use apiphany_synth::{Budget, CancelToken, SynthEvent, SynthesisConfig, Synthesizer};
 use apiphany_ttn::BuildOptions;
 use apiphany_mining::{mine_types, MiningConfig};
 use apiphany_spec::fixtures::{fig4_witnesses, fig7_library};
@@ -22,7 +22,14 @@ fn bench_synthesis(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let cfg = SynthesisConfig { budget: Budget::depth(7), ..SynthesisConfig::default() };
-                synth.synthesize_all(&q, &cfg).0.len()
+                let mut candidates = Vec::new();
+                synth.synthesize(&q, &cfg, &CancelToken::new(), &mut |event| {
+                    if let SynthEvent::Candidate(c) = event {
+                        candidates.push(c);
+                    }
+                    true
+                });
+                candidates.len()
             })
         });
     }

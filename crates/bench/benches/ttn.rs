@@ -4,7 +4,8 @@
 
 use apiphany_mining::{mine_types, parse_query, MiningConfig};
 use apiphany_spec::fixtures::{fig4_witnesses, fig7_library};
-use apiphany_ttn::{build_ttn, enumerate_paths, query_markings, Backend, BuildOptions, SearchConfig};
+use apiphany_ttn::ilp::enumerate_ilp_paths;
+use apiphany_ttn::{build_ttn, enumerate_paths, query_markings, BuildOptions, SearchConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_ttn(c: &mut Criterion) {
@@ -18,19 +19,29 @@ fn bench_ttn(c: &mut Criterion) {
     let (init, fin) = query_markings(&net, &q).unwrap();
     let mut group = c.benchmark_group("enumerate_paths_fig7_len6");
     group.sample_size(10);
-    for backend in [Backend::Dfs, Backend::Ilp] {
-        group.bench_function(format!("{backend:?}"), |b| {
-            b.iter(|| {
-                let cfg = SearchConfig { max_len: 6, backend, ..SearchConfig::default() };
-                let mut n = 0u32;
-                enumerate_paths(&net, &init, &fin, &cfg, &mut |_| {
+    group.bench_function("Dfs", |b| {
+        b.iter(|| {
+            let cfg = SearchConfig { max_len: 6, ..SearchConfig::default() };
+            let mut n = 0u32;
+            enumerate_paths(&net, &init, &fin, &cfg, &mut |_| {
+                n += 1;
+                true
+            });
+            n
+        })
+    });
+    group.bench_function("Ilp", |b| {
+        b.iter(|| {
+            let mut n = 0u32;
+            for len in 1..=6 {
+                enumerate_ilp_paths(&net, &init, &fin, len, &mut |_| {
                     n += 1;
                     true
                 });
-                n
-            })
-        });
-    }
+            }
+            n
+        })
+    });
     group.finish();
 
     // Parallel DFS: same workload, varying thread counts (the output is

@@ -37,7 +37,7 @@ use apiphany_benchmarks::{
     BenchOutcome,
 };
 use apiphany_core::json::Value;
-use apiphany_core::{Apiphany, Telemetry};
+use apiphany_core::{Engine, Telemetry};
 use apiphany_ttn::{
     enumerate_search, query_markings, CancelToken, SearchConfig, SearchEvent, SearchStats,
 };
@@ -79,7 +79,7 @@ struct SearchRun {
 }
 
 fn run_search(
-    engine: &Apiphany,
+    engine: &Engine,
     max_len: usize,
     threads: usize,
     telemetry: &Telemetry,
@@ -151,7 +151,7 @@ fn search_run_json(run: &SearchRun, serial: Option<&SearchRun>) -> Value {
 
 /// The "easy suite": the eight Slack rows of Table 2.
 fn easy_suite(
-    engine: &Apiphany,
+    engine: &Engine,
     max_len: usize,
     threads: usize,
     timeout_secs: u64,
@@ -325,6 +325,17 @@ fn main() {
         .fold(f64::INFINITY, f64::min)
         .min(serial.wall.as_secs_f64());
 
+    let cpus = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
+    let machine_note = if cpus > 1 {
+        format!(
+            "{cpus}-CPU host: parallel runs validate determinism and measure \
+             wall-clock scaling up to {cpus} threads"
+        )
+    } else {
+        "single-core host: parallel runs validate determinism and measure \
+         pool overhead; multi-core wall-clock scaling requires >1 CPU"
+            .into()
+    };
     let report = Value::obj(vec![
         ("bench", Value::Str("perf-baseline (PR 10)".into())),
         ("workload", Value::Str(format!(
@@ -333,12 +344,8 @@ fn main() {
         ))),
         ("smoke", Value::Bool(smoke)),
         ("machine", Value::obj(vec![
-            ("cpus", Value::Int(std::thread::available_parallelism().map_or(0, |n| n.get() as i64))),
-            ("note", Value::Str(
-                "single-core container: parallel runs validate determinism and \
-                 measure pool overhead; multi-core wall-clock scaling requires >1 CPU"
-                    .into(),
-            )),
+            ("cpus", Value::Int(cpus as i64)),
+            ("note", Value::Str(machine_note)),
         ])),
         ("seed_baseline", match seed_baseline_secs {
             Some(secs) => Value::obj(vec![

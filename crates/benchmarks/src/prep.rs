@@ -2,7 +2,7 @@
 //! plus the Fig. 20 enrichment loop) and build engines for the main
 //! configuration and the §7.2 granularity ablations.
 
-use apiphany_core::Apiphany;
+use apiphany_core::Engine;
 use apiphany_mining::{AnalyzeConfig, AnalyzeStats, Granularity, MiningConfig};
 use apiphany_services::{Slack, Square, Stripe};
 use apiphany_spec::{Library, Service, Witness};
@@ -35,7 +35,7 @@ pub struct Prepared {
     /// Which API this is.
     pub api: Api,
     /// The engine with fully mined semantic types (the "APIphany" row).
-    pub engine: Apiphany,
+    pub engine: Engine,
     /// Analysis statistics (Table 1's `|W|` and `n_cov`).
     pub analysis: AnalyzeStats,
     /// The syntactic library (for variants).
@@ -81,7 +81,7 @@ fn finish(
     analyze: &AnalyzeConfig,
 ) -> Prepared {
     let library = service.library().clone();
-    let engine = Apiphany::analyze(
+    let engine = Engine::analyze(
         service,
         w0,
         &MiningConfig::default(),
@@ -95,9 +95,9 @@ fn finish(
 
 /// Builds an ablation variant over the same witness set: `APIphany-Syn`
 /// (syntactic types) or `APIphany-Loc` (unmerged location types).
-pub fn variant(prepared: &Prepared, granularity: Granularity) -> Apiphany {
+pub fn variant(prepared: &Prepared, granularity: Granularity) -> Engine {
     let mining = MiningConfig { granularity, ..MiningConfig::default() };
-    Apiphany::from_witnesses_with(
+    Engine::from_witnesses_with(
         prepared.library.clone(),
         prepared.witnesses.clone(),
         &mining,

@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use apiphany_core::{Apiphany, Budget, Event, RunConfig};
+use apiphany_core::{Budget, Engine, Event, RunConfig};
 use apiphany_lang::anf::canonicalize;
 use apiphany_lang::{parse_program, Metrics};
 
@@ -61,7 +61,7 @@ fn unsolved(id: &str, gold_metrics: Metrics) -> BenchOutcome {
 ///
 /// Panics if the benchmark's gold solution does not parse (a bug in the
 /// benchmark table, caught by unit tests).
-pub fn run_benchmark(engine: &Apiphany, bench: &Benchmark, cfg: &RunConfig) -> BenchOutcome {
+pub fn run_benchmark(engine: &Engine, bench: &Benchmark, cfg: &RunConfig) -> BenchOutcome {
     let gold = parse_program(bench.gold).expect("gold solutions parse");
     let gold_metrics = gold.metrics();
     let canon_gold = canonicalize(&gold);

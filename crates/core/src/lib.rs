@@ -110,6 +110,7 @@ use apiphany_re::CostParams;
 use apiphany_spec::{Library, Service, Witness};
 use apiphany_synth::{SynthesisConfig, SynthesisStats, Synthesizer};
 use apiphany_ttn::BuildOptions;
+use session::Host;
 
 /// Configuration of one synthesis run (search + ranking).
 #[derive(Debug, Clone, Default)]
@@ -206,11 +207,6 @@ pub(crate) struct EngineInner {
 pub struct Engine {
     inner: Arc<EngineInner>,
 }
-
-/// Compatibility alias: the engine's pre-session name. [`Apiphany::run`]
-/// remains the blocking entry point and is a thin wrapper that drains a
-/// [`Session`].
-pub type Apiphany = Engine;
 
 /// Configures and constructs an [`Engine`].
 ///
@@ -432,7 +428,7 @@ impl Engine {
     /// (zero depth or a zero candidate cap).
     pub fn session(&self, query: &Query, cfg: &RunConfig) -> Result<Session, EngineError> {
         cfg.synthesis.budget.validate()?;
-        Ok(Session::spawn(Arc::clone(&self.inner), query.clone(), cfg.clone()))
+        Ok(Session::spawn(Host::Thread, Arc::clone(&self.inner), query.clone(), cfg.clone()))
     }
 
     /// Opens a streaming session for a typed [`QuerySpec`] — the
@@ -456,76 +452,19 @@ impl Engine {
         if let Precheck::Unreachable { missing_types, blocked_ops } = self.precheck(&query) {
             return Err(EngineError::Unreachable { missing_types, blocked_ops });
         }
-        Ok(Session::spawn(Arc::clone(&self.inner), query, cfg))
+        Ok(Session::spawn(Host::Thread, Arc::clone(&self.inner), query, cfg))
     }
 
-    /// The blocking synthesis phase: drains a [`Session`] and returns the
-    /// final ranking. Kept as the compatibility surface for the benchmark
-    /// harness — identical results to consuming the session by hand.
-    ///
-    /// With `cfg.synthesis.threads > 1` the blocking path skips the
-    /// session machinery: candidates are collected with the parallel path
-    /// search ([`Synthesizer::synthesize_all`]) and their independent RE
-    /// rankings fan out across the worker pool in one batch. Both cost
-    /// computation and rank assembly are deterministic, so whenever the
-    /// run finishes inside its wall-clock budget the result is identical
-    /// to the serial run (and to draining a session) for every thread
-    /// count. Under a *binding* deadline the two paths can differ — a
-    /// deadline cuts a slower run earlier in the identical candidate
-    /// stream, and the batch ranking phase itself runs to completion
-    /// after the search deadline — which is timing dependence, shared
-    /// with serial-vs-serial runs on different hardware, not
-    /// nondeterminism.
+    /// The blocking synthesis phase: validates the budget, opens a
+    /// [`Session`], and drains it — identical results to consuming the
+    /// session by hand, at every thread count.
     ///
     /// # Panics
     ///
     /// Panics when `cfg.synthesis.budget` is invalid; use
     /// [`Engine::session`] for the non-panicking surface.
     pub fn run(&self, query: &Query, cfg: &RunConfig) -> RunResult {
-        if cfg.synthesis.threads > 1 {
-            cfg.synthesis.budget.validate().expect("RunConfig carries an invalid budget");
-            return self.run_parallel(query, cfg);
-        }
         self.session(query, cfg).expect("RunConfig carries an invalid budget").drain()
-    }
-
-    /// The parallel blocking path: synthesize every candidate (parallel
-    /// TTN search), batch-rank them concurrently, then replay the ranking
-    /// insertions in generation order so `rank_at_generation` matches the
-    /// streaming session exactly.
-    fn run_parallel(&self, query: &Query, cfg: &RunConfig) -> RunResult {
-        use apiphany_re::{costs_of, ReContext, Ranker};
-        use std::time::Instant;
-
-        let start = Instant::now();
-        let (candidates, stats) =
-            self.inner.synthesizer.synthesize_all(query, &cfg.synthesis);
-        let ctx = ReContext::new(self.semlib(), &self.inner.witnesses);
-        let programs: Vec<&Program> = candidates.iter().map(|c| &c.program).collect();
-        // `re_time` is the *wall-clock* of the ranking phase: summing the
-        // per-candidate `Cost::re_time` of concurrently executed runs
-        // (the ranker's accounting) could exceed `total_time`.
-        let re_start = Instant::now();
-        let costs = costs_of(&ctx, &programs, query, &cfg.cost, cfg.synthesis.threads);
-        let re_time = re_start.elapsed();
-        drop(programs);
-        let mut ranker: Ranker<RankedProgram> = Ranker::new();
-        for (cand, cost) in candidates.into_iter().zip(costs) {
-            let index = cand.index;
-            let rank_now = ranker.rank_if_inserted(&cost, index);
-            let entry = RankedProgram {
-                program: cand.program,
-                canonical: cand.canonical,
-                gen_index: index,
-                rank_at_generation: rank_now,
-                cost: cost.total(),
-                path_len: cand.path_len,
-                elapsed: cand.elapsed,
-            };
-            ranker.insert(entry, index, cost);
-        }
-        let ranked = ranker.into_entries().into_iter().map(|entry| entry.item).collect();
-        RunResult { ranked, stats, re_time, total_time: start.elapsed() }
     }
 }
 
@@ -574,8 +513,8 @@ mod tests {
     }
 
     /// The engine-level determinism guarantee: a multi-threaded run
-    /// (parallel path search + concurrent RE ranking) produces exactly
-    /// the ranking of the serial run.
+    /// (parallel path search) produces exactly the ranking of the serial
+    /// run.
     #[test]
     fn parallel_run_matches_serial_run() {
         let engine = engine();
@@ -644,8 +583,7 @@ mod tests {
         assert!(result.re_time <= result.total_time);
     }
 
-    /// The invariant must also hold on the parallel blocking path, where
-    /// summing concurrent per-candidate RE times would violate it.
+    /// The invariant must also hold with a parallel path search.
     #[test]
     fn parallel_run_re_time_is_bounded_by_total() {
         let engine = engine();

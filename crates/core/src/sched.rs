@@ -57,9 +57,8 @@ use apiphany_ttn::pool::SharedPool;
 
 use crate::fault::FaultPlane;
 use crate::job::{Job, JobKind, JobOutcome, JobRuntime};
-use crate::{
-    Engine, EngineError, Event, QuerySpec, RunConfig, ServiceCatalog, ServiceLookup, Session,
-};
+use crate::session::Host;
+use crate::{Engine, EngineError, Event, QuerySpec, ServiceCatalog, ServiceLookup, Session};
 
 /// How [`Scheduler::submit_catalog_async`] dispatched a query.
 #[derive(Debug)]
@@ -145,15 +144,12 @@ impl Scheduler {
         cfg.synthesis.budget.validate()?;
         cfg.synthesis.telemetry = self.runtime.telemetry().clone();
         let label = spec.service.clone().unwrap_or_default();
-        let job = self.runtime.new_job(JobKind::Search, label);
-        Ok(Session::spawn_job(
-            &self.runtime,
-            job,
-            Arc::clone(&engine.inner),
-            query,
-            cfg,
-            self.fault.clone(),
-        ))
+        let host = Host::Pool {
+            runtime: &self.runtime,
+            job: self.runtime.new_job(JobKind::Search, label),
+            fault: self.fault.clone(),
+        };
+        Ok(Session::spawn(host, Arc::clone(&engine.inner), query, cfg))
     }
 
     /// Submits a catalog-routed spec: looks the service up (**blocking**
@@ -231,34 +227,6 @@ impl Scheduler {
                 Ok(CatalogSubmission::Pending(job))
             }
         }
-    }
-
-    /// Submits a pre-parsed query and config (the lower-level entry the
-    /// typed path shares).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Budget`] when the budget is invalid.
-    pub fn submit_query(
-        &self,
-        engine: &Engine,
-        query: &apiphany_mining::Query,
-        cfg: &RunConfig,
-    ) -> Result<Session, EngineError> {
-        cfg.synthesis.budget.validate()?;
-        let mut cfg = cfg.clone();
-        if !cfg.synthesis.telemetry.is_enabled() {
-            cfg.synthesis.telemetry = self.runtime.telemetry().clone();
-        }
-        let job = self.runtime.new_job(JobKind::Search, String::new());
-        Ok(Session::spawn_job(
-            &self.runtime,
-            job,
-            Arc::clone(&engine.inner),
-            query.clone(),
-            cfg,
-            self.fault.clone(),
-        ))
     }
 }
 

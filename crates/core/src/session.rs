@@ -6,9 +6,10 @@
 //! and the final [`Event::Finished`] carries the complete
 //! [`RunResult`]. The stream is *live* — the first
 //! [`Event::CandidateFound`] is observable long before the budget elapses —
-//! and *step-driven*: the search runs on a dedicated worker thread behind a
-//! rendezvous channel, so it only advances past an event when the consumer
-//! pulls it.
+//! and *step-driven*: the search runs on a worker behind a rendezvous
+//! channel, so it only advances past an event when the consumer pulls it.
+//! The worker is a dedicated thread for [`crate::Engine::session`] and a
+//! pool slot for [`crate::Scheduler`]; both run the same body.
 //!
 //! Cancellation is cooperative: [`Session::cancel`] (or any clone of
 //! [`Session::cancel_token`]) flips a flag the TTN search polls at every
@@ -24,11 +25,12 @@ use std::time::{Duration, Instant};
 use apiphany_lang::anf::AnfProgram;
 use apiphany_lang::Program;
 use apiphany_mining::Query;
-use apiphany_re::{cost_of, cost_of_par, ReContext, Ranker};
+use apiphany_re::{cost_of, ReContext, Ranker};
 use apiphany_synth::{CancelToken, Outcome, SynthEvent};
+use apiphany_telemetry::Telemetry;
 
 use crate::fault::{FaultPlane, FaultPoint};
-use crate::job::{panic_message, Job, JobOutcome, JobRuntime, JobState};
+use crate::job::{panic_message, Job, JobId, JobKind, JobOutcome, JobRuntime, JobState};
 use crate::{EngineInner, RankedProgram, RunConfig, RunResult};
 
 /// One notification from a [`Session`].
@@ -78,47 +80,45 @@ pub struct Session {
     finished: bool,
 }
 
-impl Session {
-    pub(crate) fn spawn(inner: Arc<EngineInner>, query: Query, cfg: RunConfig) -> Session {
-        // A rendezvous channel: the worker blocks on every send until the
-        // consumer pulls, so the search is step-driven by the iterator.
-        let (tx, rx) = sync_channel(0);
-        let cancel = CancelToken::new();
-        let worker_cancel = cancel.clone();
-        let worker = std::thread::spawn(move || {
-            run_worker(&inner, &query, &cfg, &worker_cancel, &tx);
-        });
-        Session { rx: Some(rx), cancel, worker: Some(worker), job: None, finished: false }
-    }
+/// Where a session's worker body runs: a dedicated thread the session
+/// joins on drop ([`crate::Engine::session`]), or a search-lane slot of a
+/// [`JobRuntime`]'s pool, tracked as `job` ([`crate::Scheduler`]). A
+/// pooled session waits FIFO for a free slot, and its wall-clock budget
+/// starts only once its job does.
+pub(crate) enum Host<'a> {
+    Thread,
+    Pool { runtime: &'a JobRuntime, job: Job<()>, fault: FaultPlane },
+}
 
-    /// Like [`Session::spawn`], but the worker body runs as a tracked
-    /// `Search` [`Job`] on a [`JobRuntime`]'s shared pool instead of a
-    /// dedicated thread: when every pool slot is busy the session waits
-    /// its turn (FIFO within the search lane), and its wall-clock budget
-    /// starts counting only once the job actually starts. This is how
-    /// [`crate::Scheduler`] multiplexes many concurrent sessions over a
-    /// bounded thread count; the event stream is produced by the same
-    /// worker body, so it is identical to a dedicated-thread run of the
-    /// same query and config.
-    ///
-    /// The job and the session share one cancellation token, and the job
-    /// settles when the worker body returns: `Cancelled` if the token was
-    /// raised, `Done` otherwise — and `Failed` (with the panic's message)
-    /// if the body panicked, so subscribers observe a structured reason
-    /// instead of a stream that just stops.
-    pub(crate) fn spawn_job(
-        runtime: &JobRuntime,
-        job: Job<()>,
+impl Session {
+    /// Starts a session on `host`. Every host runs the same body: mark
+    /// the job running, trip the `worker_start` fault, stream the run,
+    /// and settle the job — `Cancelled` if the token was raised or the
+    /// consumer dropped the stream, `Failed` (with the panic's message)
+    /// if the body panicked, `Done` otherwise. The job and the session
+    /// share one cancellation token. A dedicated thread's job is
+    /// untracked: it belongs to no runtime, and [`Session::job`] does not
+    /// expose it.
+    pub(crate) fn spawn(
+        host: Host<'_>,
         inner: Arc<EngineInner>,
         query: Query,
         cfg: RunConfig,
-        fault: FaultPlane,
     ) -> Session {
+        let (job, fault, runtime) = match host {
+            Host::Thread => (
+                Job::new(JobId(0), JobKind::Search, "", Telemetry::default()),
+                FaultPlane::disabled(),
+                None,
+            ),
+            Host::Pool { runtime, job, fault } => (job, fault, Some(runtime)),
+        };
+        // A rendezvous channel: the worker blocks on every send until the
+        // consumer pulls, so the search is step-driven by the iterator.
         let (tx, rx) = sync_channel(0);
         let cancel = job.cancel_token();
-        let worker_cancel = cancel.clone();
         let worker_job = job.clone();
-        runtime.spawn(worker_job.kind(), move || {
+        let body = move || {
             // A cancelled-while-queued session still runs its body: the
             // search observes the token immediately and the consumer gets
             // its final `Finished` event (outcome `Cancelled`).
@@ -127,7 +127,7 @@ impl Session {
                 // The worker-start injection point: a panic here is a
                 // worker dying before it streams anything.
                 fault.trip(FaultPoint::WorkerStart);
-                run_worker(&inner, &query, &cfg, &worker_cancel, &tx)
+                run_worker(&inner, &query, &cfg, &worker_job.cancel_token(), &tx)
             }));
             worker_job.settle(match outcome {
                 // An abandoned stream (consumer dropped mid-run) counts
@@ -138,11 +138,18 @@ impl Session {
                     JobOutcome::Failed(panic_message(payload.as_ref()))
                 }
             });
-        });
-        // No JoinHandle: the pool owns the thread. Dropping the session
-        // cancels the token and closes the channel, which makes the job
-        // finish promptly and free its slot.
-        Session { rx: Some(rx), cancel, worker: None, job: Some(job), finished: false }
+        };
+        let (worker, job) = match runtime {
+            // No JoinHandle: the pool owns the thread. Dropping the
+            // session cancels the token and closes the channel, which
+            // makes the job finish promptly and free its slot.
+            Some(runtime) => {
+                runtime.spawn(job.kind(), body);
+                (None, Some(job))
+            }
+            None => (Some(std::thread::spawn(body)), None),
+        };
+        Session { rx: Some(rx), cancel, worker, job, finished: false }
     }
 
     /// The state of the session's [`Job`], when it was submitted through
@@ -271,36 +278,10 @@ fn run_worker(
     let ctx = ReContext::new(inner.synthesizer.semlib(), &inner.witnesses);
     let mut ranker: Ranker<RankedProgram> = Ranker::new();
     let mut abandoned = false;
-    // Fan a candidate's RE rounds across the pool only once RE has proven
-    // expensive: the scoped pool spawns threads per call, so for
-    // microsecond-scale rounds (simulated APIs) serial is faster. The
-    // switch is wall-clock-only — costs are identical either way.
-    let mut re_parallel = false;
     let stats = inner.synthesizer.synthesize(query, &cfg.synthesis, cancel, &mut |event| {
         let to_send = match event {
             SynthEvent::Candidate(cand) => {
-                // The 15 RE rounds of one candidate are independent; with
-                // threads > 1 they fan out across the pool. Deterministic:
-                // every cost component except wall-clock `re_time` equals
-                // the serial computation.
-                let ran_parallel = re_parallel && cfg.synthesis.threads > 1;
-                let cost = if ran_parallel {
-                    cost_of_par(&ctx, &cand.program, query, &cfg.cost, cfg.synthesis.threads)
-                } else {
-                    cost_of(&ctx, &cand.program, query, &cfg.cost)
-                };
-                // Hysteresis on the *serial-equivalent* estimate (a
-                // parallel run's wall-clock is scaled back up by the
-                // thread count): engage at 5 ms, disengage below 1 ms.
-                // Deciding on the raw wall-clock would disengage after
-                // every effective parallel run and oscillate.
-                let serial_equiv = if ran_parallel {
-                    cost.re_time * (cfg.synthesis.threads.min(64) as u32)
-                } else {
-                    cost.re_time
-                };
-                re_parallel = serial_equiv >= Duration::from_millis(5)
-                    || (re_parallel && serial_equiv >= Duration::from_millis(1));
+                let cost = cost_of(&ctx, &cand.program, query, &cfg.cost);
                 let rank_now = ranker.rank_if_inserted(&cost, cand.index);
                 let notification = Event::CandidateFound {
                     program: cand.program.clone(),

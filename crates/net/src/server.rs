@@ -373,9 +373,36 @@ impl NetServer {
         }
     }
 
-    /// Shuts every connection down (readers deliver their
-    /// `Disconnected` events as they exit).
+    /// Shuts every connection down after its already-queued outbound
+    /// frames have reached the socket (readers deliver their
+    /// `Disconnected` events as they exit). Every connection gets a
+    /// [`NetServer::close_after_flush`]; the call then waits until every
+    /// writer has flushed and closed, bounded by
+    /// [`NetConfig::write_deadline`], and shuts down whatever is left —
+    /// so a draining server's last frames (terminal events for its
+    /// in-flight queries) are delivered, not cut off.
     pub fn close_all(&self) {
+        let outboxes: Vec<Arc<Outbox>> = {
+            let clients = self.shared.clients.lock().expect("clients lock");
+            clients
+                .values()
+                .map(|conn| {
+                    conn.outbox.state.lock().expect("outbox lock").close_after_flush = true;
+                    conn.outbox.ready.notify_all();
+                    Arc::clone(&conn.outbox)
+                })
+                .collect()
+        };
+        let deadline = Instant::now() + self.shared.cfg.write_deadline;
+        for outbox in &outboxes {
+            let mut st = outbox.state.lock().expect("outbox lock");
+            while !st.closed {
+                let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                    break;
+                };
+                st = outbox.ready.wait_timeout(st, left).expect("outbox lock").0;
+            }
+        }
         let clients = self.shared.clients.lock().expect("clients lock");
         for conn in clients.values() {
             conn.stream.shutdown();
@@ -475,6 +502,7 @@ fn spawn_writer(mut stream: Stream, outbox: Arc<Outbox>, fault: Option<WriteFaul
                         st.closed = true;
                         st.reason.get_or_insert(DisconnectReason::Eof);
                         drop(st);
+                        outbox.ready.notify_all();
                         stream.shutdown();
                         return;
                     }
@@ -504,6 +532,7 @@ fn spawn_writer(mut stream: Stream, outbox: Arc<Outbox>, fault: Option<WriteFaul
                     st.closed = true;
                     st.reason.get_or_insert(DisconnectReason::WriteError);
                     drop(st);
+                    outbox.ready.notify_all();
                     // Shut the connection so the reader observes EOF and
                     // delivers the Disconnected event.
                     stream.shutdown();

@@ -10,8 +10,8 @@ use apiphany_lang::Program;
 use apiphany_mining::{Query, SemLib};
 use apiphany_telemetry::Telemetry;
 use apiphany_ttn::{
-    build_ttn, enumerate_search, query_markings, Backend, Budget, BuildOptions, CancelToken,
-    PlaceId, SearchConfig, SearchEvent, SearchOutcome, SearchStats, Ttn,
+    build_ttn, enumerate_search, query_markings, Budget, BuildOptions, CancelToken, PlaceId,
+    SearchConfig, SearchEvent, SearchOutcome, SearchStats, Ttn,
 };
 
 use crate::lift::lift;
@@ -26,13 +26,12 @@ pub struct SynthesisConfig {
     pub budget: Budget,
     /// Cap on ANF programs enumerated per path (argument combinations).
     pub programs_per_path: usize,
-    /// Path-enumeration backend.
-    pub backend: Backend,
-    /// Worker threads for the parallel pipeline (`1` = fully serial, the
-    /// default). Forwarded to [`SearchConfig::threads`] for the per-level
-    /// parallel DFS and consumed by the engine layer for concurrent RE
-    /// ranking. Candidates, their order, and all ranks are identical for
-    /// every value — parallelism only changes wall-clock time.
+    /// Worker threads for the TTN search (`1` = fully serial, the
+    /// default), forwarded to [`SearchConfig::threads`] for the per-level
+    /// parallel DFS. `Progs`, lift, type check, and RE ranking run on the
+    /// calling thread. Candidates, their order, and all ranks are
+    /// identical for every value — parallelism only changes wall-clock
+    /// time.
     pub threads: usize,
     /// Dead-state memo capacity forwarded to
     /// [`SearchConfig::dead_set_cap`] (`0` disables memoization).
@@ -60,7 +59,6 @@ impl Default for SynthesisConfig {
         SynthesisConfig {
             budget: Budget::default(),
             programs_per_path: 64,
-            backend: Backend::Dfs,
             threads: 1,
             dead_set_cap: search.dead_set_cap,
             prune: true,
@@ -228,7 +226,6 @@ impl Synthesizer {
             start_len,
             max_paths: usize::MAX,
             deadline,
-            backend: cfg.backend,
             threads: cfg.threads,
             dead_set_cap: cfg.dead_set_cap,
             telemetry: cfg.telemetry.clone(),
@@ -308,22 +305,6 @@ impl Synthesizer {
         };
         stats
     }
-
-    /// Convenience wrapper collecting every candidate within the budget.
-    pub fn synthesize_all(
-        &self,
-        query: &Query,
-        cfg: &SynthesisConfig,
-    ) -> (Vec<Candidate>, SynthesisStats) {
-        let mut out = Vec::new();
-        let stats = self.synthesize(query, cfg, &CancelToken::new(), &mut |event| {
-            if let SynthEvent::Candidate(c) = event {
-                out.push(c);
-            }
-            true
-        });
-        (out, stats)
-    }
 }
 
 #[cfg(test)]
@@ -343,13 +324,29 @@ mod tests {
         SynthesisConfig { budget: Budget::depth(7), ..SynthesisConfig::default() }
     }
 
+    /// Every candidate within the budget, in generation order.
+    fn collect(
+        synth: &Synthesizer,
+        q: &Query,
+        cfg: &SynthesisConfig,
+    ) -> (Vec<Candidate>, SynthesisStats) {
+        let mut out = Vec::new();
+        let stats = synth.synthesize(q, cfg, &CancelToken::new(), &mut |event| {
+            if let SynthEvent::Candidate(c) = event {
+                out.push(c);
+            }
+            true
+        });
+        (out, stats)
+    }
+
     #[test]
     fn solves_the_running_example() {
         let synth = synthesizer();
         let q = parse_query(synth.semlib(), "{ channel_name: Channel.name } → [Profile.email]")
             .unwrap();
         let cfg = depth7();
-        let (candidates, stats) = synth.synthesize_all(&q, &cfg);
+        let (candidates, stats) = collect(&synth, &q, &cfg);
         assert!(stats.candidates >= 2, "{stats:?}");
         let gold = parse_program(
             r"\channel_name → {
@@ -386,7 +383,7 @@ mod tests {
         let synth = synthesizer();
         let q = parse_query(synth.semlib(), "{ channel_name: Channel.name } → [Profile.email]")
             .unwrap();
-        let (candidates, _) = synth.synthesize_all(&q, &depth7());
+        let (candidates, _) = collect(&synth, &q, &depth7());
         let mut canon = std::collections::HashSet::new();
         for c in &candidates {
             crate::typecheck::type_check(synth.semlib(), &c.program, &q).unwrap();
@@ -403,7 +400,7 @@ mod tests {
             budget: Budget { max_candidates: Some(1), ..Budget::depth(7) },
             ..SynthesisConfig::default()
         };
-        let (candidates, stats) = synth.synthesize_all(&q, &cfg);
+        let (candidates, stats) = collect(&synth, &q, &cfg);
         assert_eq!(candidates.len(), 1);
         assert_eq!(stats.outcome, Outcome::Stopped);
     }
@@ -464,11 +461,11 @@ mod tests {
         let synth = synthesizer();
         let q = parse_query(synth.semlib(), "{ channel_name: Channel.name } → [Profile.email]")
             .unwrap();
-        let (serial, serial_stats) = synth.synthesize_all(&q, &depth7());
+        let (serial, serial_stats) = collect(&synth, &q, &depth7());
         assert!(!serial.is_empty());
         for threads in [2usize, 4] {
             let cfg = SynthesisConfig { threads, ..depth7() };
-            let (par, par_stats) = synth.synthesize_all(&q, &cfg);
+            let (par, par_stats) = collect(&synth, &q, &cfg);
             assert_eq!(par.len(), serial.len(), "threads = {threads}");
             for (p, s) in par.iter().zip(&serial) {
                 assert_eq!(p.canonical, s.canonical);
@@ -487,7 +484,7 @@ mod tests {
         let synth = synthesizer();
         let q = parse_query(synth.semlib(), "{ channel_name: Channel.name } → [Profile.email]")
             .unwrap();
-        let (_, stats) = synth.synthesize_all(&q, &depth7());
+        let (_, stats) = collect(&synth, &q, &depth7());
         assert!(stats.search.nodes > 0);
         assert_eq!(stats.search.paths as usize, stats.paths);
         assert!(stats.search.dead_hits > 0);
@@ -498,7 +495,7 @@ mod tests {
         let synth = synthesizer();
         let q = parse_query(synth.semlib(), "{ channel_name: Channel.name } → [Profile.email]")
             .unwrap();
-        let (candidates, _) = synth.synthesize_all(&q, &depth7());
+        let (candidates, _) = collect(&synth, &q, &depth7());
         assert!(!candidates.is_empty());
         for c in &candidates {
             assert_eq!(c.canonical, apiphany_lang::anf::canonicalize(&c.program));
@@ -512,7 +509,7 @@ mod tests {
         // exist as places (simulates an unproducible type).
         let empty = mine_types(&fig7_library(), &[], &MiningConfig::default());
         let q = parse_query(&empty, "{ x: u_info.in.user } → [Profile.email]").unwrap();
-        let (candidates, stats) = synth.synthesize_all(&q, &SynthesisConfig::default());
+        let (candidates, stats) = collect(&synth, &q, &SynthesisConfig::default());
         let _ = stats;
         // Either no place or no path; never a panic, never a candidate
         // using the wrong groups.

@@ -17,7 +17,7 @@
 //! ```
 //! use apiphany_mining::{mine_types, parse_query, MiningConfig};
 //! use apiphany_spec::fixtures::{fig4_witnesses, fig7_library};
-//! use apiphany_synth::{Budget, Synthesizer, SynthesisConfig};
+//! use apiphany_synth::{Budget, CancelToken, SynthEvent, Synthesizer, SynthesisConfig};
 //! use apiphany_ttn::BuildOptions;
 //!
 //! let semlib = mine_types(&fig7_library(), &fig4_witnesses(), &MiningConfig::default());
@@ -25,7 +25,13 @@
 //! let query = parse_query(synth.semlib(), "{ channel_name: Channel.name } → [Profile.email]")
 //!     .unwrap();
 //! let cfg = SynthesisConfig { budget: Budget::depth(7), ..SynthesisConfig::default() };
-//! let (candidates, _stats) = synth.synthesize_all(&query, &cfg);
+//! let mut candidates = Vec::new();
+//! synth.synthesize(&query, &cfg, &CancelToken::new(), &mut |event| {
+//!     if let SynthEvent::Candidate(c) = event {
+//!         candidates.push(c);
+//!     }
+//!     true
+//! });
 //! assert!(!candidates.is_empty());
 //! ```
 //!

@@ -7,6 +7,11 @@
 //! interval (bounds) propagation plus depth-first branching over the `fire`
 //! variables, streaming every solution.
 //!
+//! The synthesizer searches with the DFS of `crate::search`; this
+//! encoding is its independent oracle. [`enumerate_ilp_paths`] solves one
+//! path length at a time, and the differential tests compare its paths
+//! with the DFS's.
+//!
 //! One deviation from the paper's text, documented in DESIGN.md: constraint
 //! (2) as printed ranges over *every* transition, which (taken literally)
 //! freezes any place touched by an unfired transition. We use the intended
@@ -23,12 +28,8 @@
 //! *concretized* by replaying the transition sequence and enumerating the
 //! feasible optional-consumption vectors, which drops the spurious ones.
 
-use std::time::Instant;
-
-use apiphany_spec::CancelToken;
 use crate::marking::{apply, can_fire, Firing, Marking};
 use crate::net::{PlaceId, TransId, Ttn};
-use crate::search::{SearchConfig, StepOutcome};
 
 /// Comparison operator of a linear constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,33 +164,13 @@ pub type OnSolution<'a> = dyn FnMut(&[(i64, i64)]) -> bool + 'a;
 
 /// Enumerates all assignments of `branch_vars` admitting a feasible
 /// completion, invoking `on_solution` with the (fully propagated) bounds.
-/// Returns `false` if the consumer stopped the search. The solver polls
-/// `cancel` at every branch node.
-pub fn solve_all(
-    lp: &Lp,
-    branch_vars: &[usize],
-    deadline: Option<Instant>,
-    cancel: &CancelToken,
-    on_solution: &mut OnSolution<'_>,
-) -> SolveOutcome {
+/// Returns `false` if the consumer stopped the search.
+pub fn solve_all(lp: &Lp, branch_vars: &[usize], on_solution: &mut OnSolution<'_>) -> bool {
     let mut bounds = lp.bounds.clone();
     if propagate(lp, &mut bounds) == Prop::Infeasible {
-        return SolveOutcome::Done;
+        return true;
     }
-    branch(lp, branch_vars, 0, &mut bounds, deadline, cancel, on_solution)
-}
-
-/// Outcome of [`solve_all`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolveOutcome {
-    /// The space was fully enumerated.
-    Done,
-    /// The consumer stopped the search.
-    Stopped,
-    /// The deadline was hit.
-    TimedOut,
-    /// The cancel token fired.
-    Cancelled,
+    branch(lp, branch_vars, 0, &mut bounds, on_solution)
 }
 
 fn branch(
@@ -197,18 +178,8 @@ fn branch(
     branch_vars: &[usize],
     idx: usize,
     bounds: &mut [(i64, i64)],
-    deadline: Option<Instant>,
-    cancel: &CancelToken,
     on_solution: &mut OnSolution<'_>,
-) -> SolveOutcome {
-    if cancel.is_cancelled() {
-        return SolveOutcome::Cancelled;
-    }
-    if let Some(d) = deadline {
-        if Instant::now() >= d {
-            return SolveOutcome::TimedOut;
-        }
-    }
+) -> bool {
     // Find the next unfixed branch variable.
     let mut i = idx;
     while i < branch_vars.len() {
@@ -219,10 +190,7 @@ fn branch(
         i += 1;
     }
     if i == branch_vars.len() {
-        if on_solution(bounds) {
-            return SolveOutcome::Done;
-        }
-        return SolveOutcome::Stopped;
+        return on_solution(bounds);
     }
     let v = branch_vars[i];
     let (lo, hi) = bounds[v];
@@ -233,30 +201,32 @@ fn branch(
         if propagate(lp, &mut child) == Prop::Infeasible {
             continue;
         }
-        match branch(lp, branch_vars, i + 1, &mut child, deadline, cancel, on_solution) {
-            SolveOutcome::Done => {}
-            stop => return stop,
+        if !branch(lp, branch_vars, i + 1, &mut child, on_solution) {
+            return false;
         }
     }
-    SolveOutcome::Done
+    true
 }
 
-/// Builds the Appendix B.2 encoding for paths of length `len` and streams
-/// every concrete path (transition sequence plus a feasible
-/// optional-consumption vector per step).
-pub(crate) fn enumerate_ilp_paths(
+/// Builds the Appendix B.2 encoding for paths of exactly `len` firings
+/// and streams every concrete path (transition sequence plus a feasible
+/// optional-consumption vector per step) to `on_path`, which returns
+/// `false` to stop. Returns `false` if the consumer stopped.
+///
+/// This is the test oracle for the DFS search: the same net, markings,
+/// and length must yield the same paths, up to the DFS's symmetry
+/// breaking of commuting no-input firings.
+pub fn enumerate_ilp_paths(
     net: &Ttn,
     init: &Marking,
     fin: &Marking,
     len: usize,
-    cfg: &SearchConfig,
-    cancel: &CancelToken,
     on_path: &mut dyn FnMut(&[Firing]) -> bool,
-) -> StepOutcome {
+) -> bool {
     let n_places = net.n_places();
     let n_trans = net.n_transitions();
     if n_trans == 0 {
-        return StepOutcome::Done;
+        return true;
     }
     let max_prod: i64 = net
         .transitions()
@@ -348,8 +318,7 @@ pub(crate) fn enumerate_ilp_paths(
     let branch_vars: Vec<usize> =
         (0..len).flat_map(|k| (0..n_trans).map(move |t| fire(k, t))).collect();
 
-    let mut stopped = false;
-    let outcome = solve_all(&lp, &branch_vars, cfg.deadline, cancel, &mut |bounds| {
+    solve_all(&lp, &branch_vars, &mut |bounds| {
         // Decode the transition sequence.
         let mut seq: Vec<TransId> = Vec::with_capacity(len);
         for k in 0..len {
@@ -359,27 +328,8 @@ pub(crate) fn enumerate_ilp_paths(
             seq.push(TransId(t as u32));
         }
         // Concretize optional consumption (drops relaxation-only paths).
-        concretize(net, &mut init.clone(), fin, &seq, 0, &mut Vec::new(), &mut |path| {
-            if on_path(path) {
-                true
-            } else {
-                stopped = true;
-                false
-            }
-        })
-    });
-    match outcome {
-        SolveOutcome::TimedOut => StepOutcome::TimedOut,
-        SolveOutcome::Cancelled => StepOutcome::Cancelled,
-        SolveOutcome::Stopped => StepOutcome::Stopped,
-        SolveOutcome::Done => {
-            if stopped {
-                StepOutcome::Stopped
-            } else {
-                StepOutcome::Done
-            }
-        }
-    }
+        concretize(net, &mut init.clone(), fin, &seq, 0, &mut Vec::new(), on_path)
+    })
 }
 
 /// Replays `seq`, enumerating every feasible optional-consumption vector;
@@ -477,7 +427,7 @@ mod tests {
         let vars: Vec<usize> = (0..3).map(|_| lp.var(0, 1)).collect();
         lp.con(vars.iter().map(|&v| (v, 1)).collect(), Cmp::Eq, 2);
         let mut n = 0;
-        solve_all(&lp, &vars, None, &CancelToken::new(), &mut |bounds| {
+        solve_all(&lp, &vars, &mut |bounds| {
             assert_eq!(bounds.iter().map(|b| b.0).sum::<i64>(), 2);
             n += 1;
             true

@@ -41,6 +41,6 @@ pub use build::{build_ttn, query_markings, BuildOptions};
 pub use marking::{apply, can_fire, replay, Firing, Marking};
 pub use net::{ParamSpec, PlaceId, TransId, TransKind, Transition, Ttn};
 pub use search::{
-    enumerate_paths, enumerate_search, Backend, SearchConfig, SearchEvent, SearchOutcome,
-    SearchReport, SearchStats,
+    enumerate_paths, enumerate_search, SearchConfig, SearchEvent, SearchOutcome, SearchReport,
+    SearchStats,
 };

@@ -1,22 +1,17 @@
 //! Path enumeration in the TTN (paper Fig. 10, `Paths(N, I, F)`).
 //!
 //! The paper enumerates all valid paths of increasing length with an ILP
-//! solver (Gurobi). This reproduction provides two interchangeable
-//! backends:
-//!
-//! * [`Backend::Dfs`] — a direct depth-first enumerator over markings with
-//!   token-count pruning and dead-state memoization (exact, the default);
-//! * [`Backend::Ilp`] — the paper's 0-1 ILP encoding (Appendix B.2) solved
-//!   by a small branch-and-bound solver ([`crate::ilp`]), including the
-//!   paper's approximate (possibly unsound) optional-argument encoding.
-//!
-//! Both backends yield, for every length `L = 1, 2, ...`, every firing
+//! solver (Gurobi). This reproduction searches with a direct depth-first
+//! enumerator over markings, with token-count pruning and dead-state
+//! memoization: for every length `L = 1, 2, ...` it yields every firing
 //! sequence that moves the initial marking `I` exactly to the final
 //! marking `F` (one token at the output type, nothing anywhere else).
+//! The paper's 0-1 ILP encoding (Appendix B.2) survives in [`crate::ilp`]
+//! as the test oracle this search is checked against.
 //!
 //! # Parallel search
 //!
-//! With [`SearchConfig::threads`] > 1 the DFS backend runs each deep
+//! With [`SearchConfig::threads`] > 1 the search runs each deep
 //! iterative-deepening level on a streaming worker team
 //! ([`crate::pool::team_scope`], spawned once per query): the
 //! coordinator expands a shallow *frontier* (every distinct firing
@@ -60,20 +55,9 @@ use std::time::Instant;
 use apiphany_spec::CancelToken;
 use apiphany_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use crate::dead::{Probe, SharedDeadSet};
-use crate::ilp::enumerate_ilp_paths;
 use crate::marking::{apply, can_fire, unapply, Firing, Marking};
 use crate::net::{PlaceId, TransId, Ttn};
 use crate::pool::{team_scope, Team};
-
-/// Which path enumerator to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Depth-first search over markings (exact).
-    #[default]
-    Dfs,
-    /// The Appendix B.2 ILP encoding with branch-and-bound.
-    Ilp,
-}
 
 /// Search configuration.
 #[derive(Debug, Clone)]
@@ -90,11 +74,9 @@ pub struct SearchConfig {
     pub max_paths: usize,
     /// Wall-clock deadline.
     pub deadline: Option<Instant>,
-    /// Backend selection.
-    pub backend: Backend,
-    /// Worker threads for the DFS backend (`1` = fully serial, the
-    /// default). The emitted path stream is bit-identical for every
-    /// value; see the module docs for why. The ILP backend ignores this.
+    /// Worker threads (`1` = fully serial, the default). The emitted path
+    /// stream is bit-identical for every value; see the module docs for
+    /// why.
     pub threads: usize,
     /// Capacity of the dead-state memo (entries); `0` disables
     /// memoization entirely. The memo is **one shared concurrent set**
@@ -128,19 +110,10 @@ impl Default for SearchConfig {
             start_len: 1,
             max_paths: usize::MAX,
             deadline: None,
-            backend: Backend::Dfs,
             threads: 1,
             dead_set_cap: 2_000_000,
             telemetry: Telemetry::default(),
         }
-    }
-}
-
-impl SearchConfig {
-    /// The default configuration with a different worker-thread count
-    /// (convenience for `SearchConfig { threads, ..Default::default() }`).
-    pub fn with_threads(threads: usize) -> SearchConfig {
-        SearchConfig { threads: threads.max(1), ..SearchConfig::default() }
     }
 }
 
@@ -157,11 +130,11 @@ pub enum SearchOutcome {
     Cancelled,
 }
 
-/// Counters accumulated by the DFS backend (summed over all levels and,
-/// in a parallel search, over all workers). The ILP backend reports
-/// zeros. When a parallel search stops early (cap, cancel, deadline),
-/// counters from workers whose results were discarded are not included —
-/// treat the numbers as a lower bound on work performed in that case.
+/// Counters accumulated by the search (summed over all levels and, in a
+/// parallel search, over all workers). When a parallel search stops
+/// early (cap, cancel, deadline), counters from workers whose results
+/// were discarded are not included — treat the numbers as a lower bound
+/// on work performed in that case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStats {
     /// Search nodes visited (states expanded past the budget polls).
@@ -296,8 +269,7 @@ pub fn enumerate_search(
     let dead = SharedDeadSet::new(cfg.dead_set_cap);
     // Deep levels split at length >= 4; a search that never reaches one
     // runs serially without spawning the team at all.
-    let parallel =
-        cfg.backend == Backend::Dfs && cfg.threads > 1 && cfg.max_len >= 4;
+    let parallel = cfg.threads > 1 && cfg.max_len >= 4;
     // Persistent per-participant scratch (path buffer + DFS frames),
     // index 0 the coordinator, 1..=threads the team workers. Pinning the
     // scratch to the worker keeps steady-state search allocation-free —
@@ -371,8 +343,8 @@ struct LevelCtx<'a> {
     scratches: &'a [Mutex<DfsScratch>],
 }
 
-/// The iterative-deepening level loop (both backends). With a team
-/// attached, levels deep enough to split run pipelined on it.
+/// The iterative-deepening level loop. With a team attached, levels deep
+/// enough to split run pipelined on it.
 fn run_levels(
     ctx: &LevelCtx<'_>,
     team: Option<&Team<'_, Branch, BranchOut>>,
@@ -393,49 +365,33 @@ fn run_levels(
             continue;
         }
         let level_started = Instant::now();
-        let outcome = match cfg.backend {
-            Backend::Dfs => {
-                let mut on_path = |path: &[Firing]| {
-                    emitted += 1;
-                    on_event(SearchEvent::Path(path)) && emitted < cfg.max_paths
-                };
-                // Shallow levels finish in microseconds; the team only
-                // pays off once a level is deep enough to split.
-                match team {
-                    Some(team) if len >= 4 => {
-                        run_level_pipelined(ctx, team, len, &mut on_path, &mut stats)
-                    }
-                    _ => {
-                        let mut scratch = ctx.scratches[0].lock().expect("scratch lock");
-                        let mut dfs = Dfs::new(
-                            ctx.net,
-                            ctx.fin,
-                            ctx.index,
-                            cfg,
-                            ctx.cancel,
-                            None,
-                            ctx.dead,
-                            0,
-                            &mut scratch,
-                        );
-                        let outcome = dfs.run(ctx.init.clone(), len, &mut on_path);
-                        stats.absorb(&dfs.stats);
-                        outcome
-                    }
-                }
+        let mut on_path = |path: &[Firing]| {
+            emitted += 1;
+            on_event(SearchEvent::Path(path)) && emitted < cfg.max_paths
+        };
+        // Shallow levels finish in microseconds; the team only pays off
+        // once a level is deep enough to split.
+        let outcome = match team {
+            Some(team) if len >= 4 => {
+                run_level_pipelined(ctx, team, len, &mut on_path, &mut stats)
             }
-            Backend::Ilp => enumerate_ilp_paths(
-                ctx.net,
-                ctx.init,
-                ctx.fin,
-                len,
-                cfg,
-                ctx.cancel,
-                &mut |path| {
-                    emitted += 1;
-                    on_event(SearchEvent::Path(path)) && emitted < cfg.max_paths
-                },
-            ),
+            _ => {
+                let mut scratch = ctx.scratches[0].lock().expect("scratch lock");
+                let mut dfs = Dfs::new(
+                    ctx.net,
+                    ctx.fin,
+                    ctx.index,
+                    cfg,
+                    ctx.cancel,
+                    None,
+                    ctx.dead,
+                    0,
+                    &mut scratch,
+                );
+                let outcome = dfs.run(ctx.init.clone(), len, &mut on_path);
+                stats.absorb(&dfs.stats);
+                outcome
+            }
         };
         metrics.depth_us.record_duration(level_started.elapsed());
         metrics.flush(&stats, ctx.dead);
@@ -480,7 +436,7 @@ pub fn enumerate_paths(
 
 /// Outcome of enumerating one length level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StepOutcome {
+enum StepOutcome {
     /// Level fully enumerated.
     Done,
     /// Consumer stopped the search.
@@ -1083,6 +1039,7 @@ enum Flow {
 mod tests {
     use super::*;
     use crate::build::{build_ttn, query_markings, BuildOptions};
+    use crate::ilp::enumerate_ilp_paths;
     use crate::marking::replay;
     use apiphany_mining::{mine_types, parse_query, MiningConfig};
     use apiphany_spec::fixtures::{fig4_witnesses, fig7_library};
@@ -1181,25 +1138,27 @@ mod tests {
         assert_eq!(outcome, SearchOutcome::Exhausted);
     }
 
+    /// The DFS against the ILP oracle on the Fig. 7 net, through length
+    /// 7: both find the Fig. 5 "creator" variant (length 6) and the
+    /// Fig. 2 gold path (length 7).
     #[test]
     fn dfs_and_ilp_agree_on_fig7() {
         let (net, init, fin) = setup();
-        let collect = |backend: Backend| {
-            let cfg = SearchConfig { max_len: 6, backend, ..SearchConfig::default() };
-            let mut paths: Vec<Vec<Firing>> = Vec::new();
-            enumerate_paths(&net, &init, &fin, &cfg, &mut |p| {
-                paths.push(p.to_vec());
+        let mut ilp: Vec<Vec<Firing>> = Vec::new();
+        for len in 1..=7 {
+            enumerate_ilp_paths(&net, &init, &fin, len, &mut |p| {
+                ilp.push(p.to_vec());
                 true
             });
+        }
+        let (mut dfs, _) = collect_with_threads(&net, &init, &fin, 7, 1);
+        for paths in [&mut dfs, &mut ilp] {
             paths.sort_by_key(|p| {
                 (p.len(), p.iter().map(|f| f.trans.0).collect::<Vec<_>>())
             });
-            paths
-        };
-        let dfs = collect(Backend::Dfs);
-        let ilp = collect(Backend::Ilp);
+        }
         assert_eq!(dfs, ilp);
-        assert_eq!(dfs.len(), 1);
+        assert_eq!(dfs.len(), 2);
     }
 
     #[test]
@@ -1593,11 +1552,5 @@ mod tests {
         });
         assert_eq!(paths, plain);
         assert_eq!(outcome, plain_outcome);
-    }
-
-    #[test]
-    fn with_threads_clamps_to_one() {
-        assert_eq!(SearchConfig::with_threads(0).threads, 1);
-        assert_eq!(SearchConfig::with_threads(6).threads, 6);
     }
 }

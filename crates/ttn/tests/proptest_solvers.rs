@@ -1,9 +1,10 @@
 //! Differential property tests: the DFS enumerator and the ILP
-//! branch-and-bound backend must agree on every random small net.
+//! branch-and-bound oracle must agree on every random small net.
 
 use apiphany_spec::{GroupId, SemTy};
+use apiphany_ttn::ilp::enumerate_ilp_paths;
 use apiphany_ttn::{
-    enumerate_paths, Backend, Firing, Marking, PlaceId, SearchConfig, TransKind, Transition, Ttn,
+    enumerate_paths, Firing, Marking, PlaceId, SearchConfig, TransKind, Transition, Ttn,
 };
 use proptest::prelude::*;
 
@@ -46,17 +47,36 @@ fn arb_net(n_places: usize, n_trans: usize) -> impl Strategy<Value = Ttn> {
     })
 }
 
-fn collect(net: &Ttn, init: &Marking, fin: &Marking, backend: Backend) -> Vec<Vec<Firing>> {
-    let cfg = SearchConfig { max_len: 4, max_paths: 2000, backend, ..SearchConfig::default() };
+fn sorted(mut paths: Vec<Vec<Firing>>) -> Vec<Vec<Firing>> {
+    paths.sort_by_key(|p| {
+        (p.len(), p.iter().map(|f| (f.trans.0, f.optional_taken.clone())).collect::<Vec<_>>())
+    });
+    paths
+}
+
+fn collect(net: &Ttn, init: &Marking, fin: &Marking) -> Vec<Vec<Firing>> {
+    let cfg = SearchConfig { max_len: 4, max_paths: 2000, ..SearchConfig::default() };
     let mut out: Vec<Vec<Firing>> = Vec::new();
     enumerate_paths(net, init, fin, &cfg, &mut |p| {
         out.push(p.to_vec());
         true
     });
-    out.sort_by_key(|p| {
-        (p.len(), p.iter().map(|f| (f.trans.0, f.optional_taken.clone())).collect::<Vec<_>>())
-    });
-    out
+    sorted(out)
+}
+
+/// The ILP oracle over the same lengths and path cap as [`collect`].
+fn collect_ilp(net: &Ttn, init: &Marking, fin: &Marking) -> Vec<Vec<Firing>> {
+    let mut out: Vec<Vec<Firing>> = Vec::new();
+    for len in 1..=4 {
+        let more = enumerate_ilp_paths(net, init, fin, len, &mut |p| {
+            out.push(p.to_vec());
+            out.len() < 2000
+        });
+        if !more {
+            break;
+        }
+    }
+    sorted(out)
 }
 
 proptest! {
@@ -78,8 +98,8 @@ proptest! {
         let mut fin = Marking::empty(net.n_places());
         fin.add(PlaceId(fin_place as u32), 1);
 
-        let dfs = collect(&net, &init, &fin, Backend::Dfs);
-        let ilp = collect(&net, &init, &fin, Backend::Ilp);
+        let dfs = collect(&net, &init, &fin);
+        let ilp = collect_ilp(&net, &init, &fin);
         // The DFS applies sound symmetry breaking on consecutive no-input
         // firings, so its set can be a subset; verify every ILP path is a
         // genuine firing sequence and that both agree modulo that
@@ -228,7 +248,7 @@ proptest! {
         }
         let mut fin = Marking::empty(net.n_places());
         fin.add(PlaceId(fin_place as u32), 1);
-        for p in collect(&net, &init, &fin, Backend::Dfs) {
+        for p in collect(&net, &init, &fin) {
             let end = apiphany_ttn::replay(&net, &init, &p).expect("path must replay");
             prop_assert_eq!(end, fin.clone());
         }

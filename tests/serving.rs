@@ -85,19 +85,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Catalog+scheduler-served streams equal dedicated-engine streams,
-    /// for every slot count, with two different services in flight and a
-    /// *random* poll interleaving on the consumer side.
+    /// for every slot count and search thread count, with two different
+    /// services in flight and a *random* poll interleaving on the
+    /// consumer side.
     #[test]
     fn scheduled_streams_are_bit_identical_under_interleaving(
         seed in 0u64..10_000,
         slots in 1usize..5,
         lite_witnesses in 1usize..5,
+        threads in 1usize..3,
     ) {
         let catalog = two_service_catalog(lite_witnesses);
         let specs = [
-            email_spec("demo"),
-            channels_spec("demo-lite"),
-            email_spec("demo"),
+            email_spec("demo").threads(threads),
+            channels_spec("demo-lite").threads(threads),
+            email_spec("demo").threads(threads),
         ];
         // Reference streams: dedicated engine sessions, no scheduler.
         let reference: Vec<Vec<String>> = specs
