@@ -48,6 +48,8 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+// SAFETY: every method passes its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; counting touches only an atomic.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);

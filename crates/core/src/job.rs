@@ -12,7 +12,8 @@
 //! * **subscribe** a continuation ([`Job::on_terminal`]) that runs
 //!   exactly once when the job settles — the serving layer uses this to
 //!   chain "submit the query" onto "its service's analysis finished"
-//!   without any thread ever blocking;
+//!   without any thread ever blocking — or one that runs when it starts
+//!   ([`Job::on_running`]);
 //! * **cancel** cooperatively ([`Job::cancel`]): a queued job becomes a
 //!   prompt no-op, a running one is interrupted at its next cancellation
 //!   point (synthesis polls the token at every search node; the analysis
@@ -148,11 +149,12 @@ impl<T> JobOutcome<T> {
 }
 
 type Callback<T> = Box<dyn FnOnce(&JobOutcome<T>) + Send>;
+type StartCallback = Box<dyn FnOnce() + Send>;
 
-/// Pre-terminal phases carry their subscriber list; settling takes the
-/// list and runs it exactly once.
+/// Pre-terminal phases carry their subscriber lists; each transition
+/// takes its list and runs it exactly once.
 enum Phase<T> {
-    Queued(Vec<Callback<T>>),
+    Queued(Vec<Callback<T>>, Vec<StartCallback>),
     Running(Vec<Callback<T>>),
     Terminal(JobOutcome<T>),
 }
@@ -212,7 +214,7 @@ impl<T> Job<T> {
                 kind,
                 label: label.into(),
                 cancel: CancelToken::new(),
-                phase: Mutex::new(Phase::Queued(Vec::new())),
+                phase: Mutex::new(Phase::Queued(Vec::new(), Vec::new())),
                 changed: Condvar::new(),
                 created: Instant::now(),
                 started: Mutex::new(None),
@@ -239,7 +241,7 @@ impl<T> Job<T> {
     /// A snapshot of the job's current state.
     pub fn state(&self) -> JobState {
         match &*self.inner.phase.lock().expect("job lock") {
-            Phase::Queued(_) => JobState::Queued,
+            Phase::Queued(..) => JobState::Queued,
             Phase::Running(_) => JobState::Running,
             Phase::Terminal(outcome) => outcome.state(),
         }
@@ -262,7 +264,7 @@ impl<T> Job<T> {
     /// flight.
     pub fn cancel_if_queued(&self) -> bool {
         let phase = self.inner.phase.lock().expect("job lock");
-        if matches!(&*phase, Phase::Queued(_)) {
+        if matches!(&*phase, Phase::Queued(..)) {
             self.inner.cancel.cancel();
             true
         } else {
@@ -287,11 +289,29 @@ impl<T> Job<T> {
         }
     }
 
-    /// Marks the job `Running` (no-op if it already settled — a cancelled
-    /// queued job may have been settled by its own body's early-out).
+    /// Subscribes `f` to the job's start: it runs once, on the worker,
+    /// when the job enters `Running` — or right away on the calling
+    /// thread if the job is running already. A job that settles without
+    /// running, or has settled already, never calls it.
+    pub fn on_running(&self, f: impl FnOnce() + Send + 'static) {
+        let mut phase = self.inner.phase.lock().expect("job lock");
+        match &mut *phase {
+            Phase::Queued(_, starts) => starts.push(Box::new(f)),
+            Phase::Running(_) => {
+                drop(phase);
+                f();
+            }
+            Phase::Terminal(_) => {}
+        }
+    }
+
+    /// Marks the job `Running` and runs its start subscribers (no-op if it
+    /// already settled — a cancelled queued job may have been settled by
+    /// its own body's early-out).
     pub(crate) fn mark_running(&self) {
         let mut phase = self.inner.phase.lock().expect("job lock");
-        if let Phase::Queued(subs) = &mut *phase {
+        if let Phase::Queued(subs, starts) = &mut *phase {
+            let starts = std::mem::take(starts);
             *phase = Phase::Running(std::mem::take(subs));
             drop(phase);
             self.inner.changed.notify_all();
@@ -311,6 +331,9 @@ impl<T> Job<T> {
                         ("state", "running".to_string()),
                     ],
                 );
+            }
+            for f in starts {
+                f();
             }
         }
     }
@@ -354,7 +377,7 @@ impl<T: Clone> Job<T> {
     pub fn on_terminal(&self, f: impl FnOnce(&JobOutcome<T>) + Send + 'static) {
         let mut phase = self.inner.phase.lock().expect("job lock");
         match &mut *phase {
-            Phase::Queued(subs) | Phase::Running(subs) => {
+            Phase::Queued(subs, _) | Phase::Running(subs) => {
                 subs.push(Box::new(f));
             }
             Phase::Terminal(outcome) => {
@@ -374,7 +397,7 @@ impl<T: Clone> Job<T> {
             let mut phase = self.inner.phase.lock().expect("job lock");
             match &mut *phase {
                 Phase::Terminal(_) => return,
-                Phase::Queued(subs) | Phase::Running(subs) => {
+                Phase::Queued(subs, _) | Phase::Running(subs) => {
                     // Count the settle *before* the phase flips: a waiter
                     // released by the flip may snapshot the registry
                     // immediately, and must find this job already counted.
@@ -602,6 +625,24 @@ mod tests {
             l.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(late.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn start_subscribers_run_once_and_only_for_jobs_that_run() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let job: Job<u32> = Job::new(JobId(5), JobKind::Analysis, "svc", Telemetry::default());
+        let post = tx.clone();
+        job.on_running(move || post.send("queued").unwrap());
+        job.mark_running();
+        job.mark_running();
+        // Already running: the subscriber runs right away.
+        let post = tx.clone();
+        job.on_running(move || post.send("running").unwrap());
+        // A job cancelled while queued never starts.
+        let skipped: Job<u32> = Job::new(JobId(6), JobKind::Analysis, "svc", Telemetry::default());
+        skipped.on_running(move || tx.send("skipped").unwrap());
+        skipped.settle(JobOutcome::Cancelled);
+        assert_eq!(rx.iter().collect::<Vec<_>>(), ["queued", "running"]);
     }
 
     #[test]

@@ -78,7 +78,6 @@ pub mod fault;
 mod job;
 mod queryspec;
 mod sched;
-mod scope;
 mod session;
 
 pub use apiphany_telemetry::Telemetry;
@@ -92,8 +91,7 @@ pub use error::EngineError;
 pub use fault::{FaultKind, FaultPlane, FaultPoint, FaultRule};
 pub use job::{Job, JobId, JobKind, JobOutcome, JobRuntime, JobState, RuntimeStats};
 pub use queryspec::QuerySpec;
-pub use sched::{CatalogSubmission, Multiplexer, Scheduler};
-pub use scope::{CancelScopes, ScopeTicket};
+pub use sched::{CatalogSubmission, Scheduler};
 pub use session::{Event, Session};
 
 use std::sync::Arc;

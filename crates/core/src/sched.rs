@@ -23,13 +23,14 @@
 //! `tests/serving.rs` property-tests this guarantee, including under
 //! concurrent interleaving.
 //!
-//! [`Multiplexer`] is the consumer-side companion: a fair round-robin
-//! poller over any number of live sessions, built on
-//! [`Session::try_next`] so one stalled session never blocks the others'
-//! events.
+//! A consumer that serves many sessions from one thread blocks on one
+//! channel instead of polling them: each session's wake hook
+//! ([`Session::set_wake_hook`]) posts to it once per buffered event, and
+//! the consumer answers every post with one [`Session::try_next`].
 //!
 //! ```
-//! use apiphany_core::{Engine, Multiplexer, QuerySpec, Scheduler};
+//! use std::sync::mpsc;
+//! use apiphany_core::{Engine, Event, QuerySpec, Scheduler};
 //! use apiphany_spec::fixtures::{fig4_witnesses, fig7_library};
 //!
 //! let engine = Engine::from_witnesses(fig7_library(), fig4_witnesses());
@@ -37,28 +38,33 @@
 //! let spec = QuerySpec::output("[Profile.email]")
 //!     .input("channel_name", "Channel.name")
 //!     .depth(7);
-//! let mut mux = Multiplexer::new();
-//! for id in ["a", "b", "c"] {
-//!     mux.push(id, scheduler.submit(&engine, &spec).unwrap());
+//! let (wake, woken) = mpsc::channel();
+//! let mut sessions = Vec::new();
+//! for id in 0..3 {
+//!     let session = scheduler.submit(&engine, &spec).unwrap();
+//!     let post = wake.clone();
+//!     session.set_wake_hook(move || {
+//!         let _ = post.send(id);
+//!     });
+//!     sessions.push(session);
 //! }
 //! let mut finished = 0;
-//! while let Some((_id, event)) = mux.next_event() {
-//!     if matches!(event, apiphany_core::Event::Finished(_)) {
+//! while finished < 3 {
+//!     let id = woken.recv().unwrap();
+//!     if let Some(Event::Finished(_)) = sessions[id].try_next() {
 //!         finished += 1;
 //!     }
 //! }
-//! assert_eq!(finished, 3);
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use apiphany_ttn::pool::SharedPool;
 
 use crate::fault::FaultPlane;
 use crate::job::{Job, JobKind, JobOutcome, JobRuntime};
 use crate::session::Host;
-use crate::{Engine, EngineError, Event, QuerySpec, ServiceCatalog, ServiceLookup, Session};
+use crate::{Engine, EngineError, QuerySpec, ServiceCatalog, ServiceLookup, Session};
 
 /// How [`Scheduler::submit_catalog_async`] dispatched a query.
 #[derive(Debug)]
@@ -230,114 +236,13 @@ impl Scheduler {
     }
 }
 
-/// A fair round-robin event poller over tagged sessions.
-///
-/// Push any number of live sessions with caller-chosen tags; each
-/// [`Multiplexer::poll`] visits the sessions in rotation starting after
-/// the last one that yielded, so a chatty session cannot starve the
-/// others. Sessions are dropped as soon as their `Finished` event is
-/// delivered.
-#[derive(Debug, Default)]
-pub struct Multiplexer<T> {
-    sessions: Vec<(T, Session)>,
-    /// Index to start the next poll sweep at (rotates for fairness).
-    cursor: usize,
-}
-
-impl<T> Multiplexer<T> {
-    /// An empty multiplexer.
-    pub fn new() -> Multiplexer<T> {
-        Multiplexer { sessions: Vec::new(), cursor: 0 }
-    }
-
-    /// Adds a session under `tag` (tags need not be unique; events are
-    /// reported with a reference to the tag).
-    pub fn push(&mut self, tag: T, session: Session) {
-        self.sessions.push((tag, session));
-    }
-
-    /// Live (unfinished) sessions.
-    pub fn len(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Whether every pushed session has finished.
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
-    }
-
-    /// Calls `f` on each live session (e.g. to cancel by tag, or to
-    /// collect the live tag set).
-    pub fn for_each_session(&self, mut f: impl FnMut(&T, &Session)) {
-        for (tag, session) in &self.sessions {
-            f(tag, session);
-        }
-    }
-
-    /// One non-blocking round-robin sweep: returns the first event any
-    /// live session has ready (tagged with a clone of its tag), or `None`
-    /// when nobody has one *right now* (distinguish from completion with
-    /// [`Multiplexer::is_empty`]). The sweep starts after the session
-    /// that yielded last, so ready sessions take turns.
-    pub fn poll(&mut self) -> Option<(T, Event)>
-    where
-        T: Clone,
-    {
-        let n = self.sessions.len();
-        let mut found = None;
-        for step in 0..n {
-            let i = (self.cursor + step) % n;
-            if let Some(event) = self.sessions[i].1.try_next() {
-                self.cursor = (i + 1) % n;
-                found = Some((i, event));
-                break;
-            }
-        }
-        let out = match found {
-            Some((i, event)) => {
-                let tag = if matches!(event, Event::Finished(_)) {
-                    // The stream is complete: drop the session (reaping
-                    // its worker) and hand the tag back by value.
-                    self.sessions.remove(i).0
-                } else {
-                    self.sessions[i].0.clone()
-                };
-                Some((tag, event))
-            }
-            None => {
-                // A `try_next` that returned `None` after marking the
-                // session finished means its worker died without a
-                // `Finished` event (a panic); prune it so the poll loop
-                // terminates instead of spinning on a dead stream.
-                self.sessions.retain(|(_, s)| !s.is_finished());
-                None
-            }
-        };
-        self.cursor = if self.sessions.is_empty() { 0 } else { self.cursor % self.sessions.len() };
-        out
-    }
-
-    /// Blocking pull: polls until some session yields an event, parking
-    /// briefly between sweeps. Returns `None` once every session has
-    /// finished.
-    pub fn next_event(&mut self) -> Option<(T, Event)>
-    where
-        T: Clone,
-    {
-        while !self.is_empty() {
-            if let Some(out) = self.poll() {
-                return Some(out);
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Event;
     use apiphany_spec::fixtures::{fig4_witnesses, fig7_library};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn engine() -> Engine {
         Engine::from_witnesses(fig7_library(), fig4_witnesses())
@@ -381,6 +286,32 @@ mod tests {
         assert_eq!(fingerprint(&scheduled), fingerprint(&dedicated));
     }
 
+    /// Consumes sessions only through their wake hooks: one channel, one
+    /// `try_next` per announcement. A lost wakeup fails at the timeout
+    /// instead of hanging the test.
+    fn drain_by_wakes(sessions: Vec<Session>) -> Vec<Vec<Event>> {
+        let (wake, woken) = mpsc::channel();
+        let mut live: Vec<Option<Session>> = Vec::new();
+        for (id, session) in sessions.into_iter().enumerate() {
+            let post = wake.clone();
+            session.set_wake_hook(move || {
+                let _ = post.send(id);
+            });
+            live.push(Some(session));
+        }
+        let mut streams = vec![Vec::new(); live.len()];
+        while live.iter().any(Option::is_some) {
+            let id = woken.recv_timeout(Duration::from_secs(60)).expect("lost wakeup");
+            let session = live[id].as_mut().expect("no announcement after Finished");
+            let event = session.try_next().expect("an announced event is buffered");
+            if matches!(event, Event::Finished(_)) {
+                live[id] = None;
+            }
+            streams[id].push(event);
+        }
+        streams
+    }
+
     /// More sessions than slots: everyone completes, each stream intact.
     #[test]
     fn oversubscribed_scheduler_completes_every_session() {
@@ -388,17 +319,26 @@ mod tests {
         let spec = email_spec();
         let reference = fingerprint(&engine.open(&spec).unwrap().collect::<Vec<_>>());
         let scheduler = Scheduler::new(2);
-        let mut mux = Multiplexer::new();
-        for id in 0..6 {
-            mux.push(id, scheduler.submit(&engine, &spec).unwrap());
-        }
-        let mut streams: Vec<Vec<Event>> = (0..6).map(|_| Vec::new()).collect();
-        while let Some((id, event)) = mux.next_event() {
-            streams[id].push(event);
-        }
-        for (id, stream) in streams.iter().enumerate() {
+        let sessions = (0..6).map(|_| scheduler.submit(&engine, &spec).unwrap()).collect();
+        for (id, stream) in drain_by_wakes(sessions).iter().enumerate() {
             assert_eq!(fingerprint(stream), reference, "session {id}");
         }
+    }
+
+    /// A stream buffered in full before its consumer registers is
+    /// announced by the registration itself: nothing is lost to the gap.
+    #[test]
+    fn a_stream_buffered_before_registration_still_reaches_finished() {
+        let engine = engine();
+        let spec = email_spec();
+        let reference = fingerprint(&engine.open(&spec).unwrap().collect::<Vec<_>>());
+        assert!(reference.len() <= crate::session::EVENT_BUFFER, "the stream fits the buffer");
+        let scheduler = Scheduler::new(1);
+        let session = scheduler.submit(&engine, &spec).unwrap();
+        // The job settles only after its worker has buffered `Finished`.
+        assert_eq!(session.job().unwrap().wait(), crate::JobState::Done);
+        let streams = drain_by_wakes(vec![session]);
+        assert_eq!(fingerprint(&streams[0]), reference);
     }
 
     #[test]
@@ -501,7 +441,6 @@ mod tests {
     /// its analysis job and the continuation delivers the session.
     #[test]
     fn submit_catalog_async_chains_on_analysis() {
-        use std::sync::mpsc;
         let runtime = crate::JobRuntime::new(2);
         let catalog = ServiceCatalog::new().with_runtime(runtime.clone());
         catalog.register_spec("demo", fig7_library(), fig4_witnesses()).unwrap();
@@ -534,7 +473,6 @@ mod tests {
     /// structured error instead of a session.
     #[test]
     fn cancelled_analysis_fails_queued_queries() {
-        use std::sync::mpsc;
         // One slot, held by a long search the consumer never pulls past
         // its first event: the analysis job behind it stays queued.
         let runtime = crate::JobRuntime::new(1);

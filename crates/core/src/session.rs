@@ -6,10 +6,15 @@
 //! and the final [`Event::Finished`] carries the complete
 //! [`RunResult`]. The stream is *live* — the first
 //! [`Event::CandidateFound`] is observable long before the budget elapses —
-//! and *step-driven*: the search runs on a worker behind a rendezvous
-//! channel, so it only advances past an event when the consumer pulls it.
-//! The worker is a dedicated thread for [`crate::Engine::session`] and a
-//! pool slot for [`crate::Scheduler`]; both run the same body.
+//! and *bounded*: the search runs on a worker that buffers a few events
+//! ahead of the consumer ([`EVENT_BUFFER`]), then waits for it. The
+//! worker is a dedicated thread for [`crate::Engine::session`] and a pool
+//! slot for [`crate::Scheduler`]; both run the same body.
+//!
+//! A consumer serving many sessions from one thread does not poll them:
+//! it installs a wake hook ([`Session::set_wake_hook`]), and the worker
+//! announces every event it buffers, so the consumer can block on one
+//! channel for all of its sources.
 //!
 //! Cancellation is cooperative: [`Session::cancel`] (or any clone of
 //! [`Session::cancel_token`]) flips a flag the TTN search polls at every
@@ -17,8 +22,8 @@
 //! everything ranked so far, and dropping a session mid-stream cancels and
 //! reaps the worker.
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, TryRecvError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -67,11 +72,18 @@ pub enum Event {
     Finished(RunResult),
 }
 
+/// How many events a session's worker buffers ahead of its consumer
+/// before it waits: enough that a consumer woken per event does not hold
+/// up the search, few enough that a consumer that stops pulling parks the
+/// worker within a few events.
+pub(crate) const EVENT_BUFFER: usize = 16;
+
 /// A cancellable, streaming synthesis run: an `Iterator<Item = Event>`
 /// over one query's candidates, created by [`crate::Engine::session`].
 #[derive(Debug)]
 pub struct Session {
     rx: Option<Receiver<Event>>,
+    wake: Arc<Wake>,
     cancel: CancelToken,
     worker: Option<JoinHandle<()>>,
     /// The scheduler-tracked job, when the session runs on a
@@ -88,6 +100,29 @@ pub struct Session {
 pub(crate) enum Host<'a> {
     Thread,
     Pool { runtime: &'a JobRuntime, job: Job<()>, fault: FaultPlane },
+}
+
+type WakeHook = Box<dyn Fn() + Send>;
+
+/// The worker's side of [`Session::set_wake_hook`]: the hook, or the
+/// number of announcements made before one was installed.
+#[derive(Default)]
+struct Wake(Mutex<(Option<WakeHook>, usize)>);
+
+impl Wake {
+    fn announce(&self) {
+        let mut wake = self.0.lock().expect("wake lock");
+        match &wake.0 {
+            Some(hook) => hook(),
+            None => wake.1 += 1,
+        }
+    }
+}
+
+impl std::fmt::Debug for Wake {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Wake")
+    }
 }
 
 impl Session {
@@ -113,11 +148,11 @@ impl Session {
             ),
             Host::Pool { runtime, job, fault } => (job, fault, Some(runtime)),
         };
-        // A rendezvous channel: the worker blocks on every send until the
-        // consumer pulls, so the search is step-driven by the iterator.
-        let (tx, rx) = sync_channel(0);
+        let (tx, rx) = sync_channel(EVENT_BUFFER);
+        let wake = Arc::new(Wake::default());
         let cancel = job.cancel_token();
         let worker_job = job.clone();
+        let worker_wake = Arc::clone(&wake);
         let body = move || {
             // A cancelled-while-queued session still runs its body: the
             // search observes the token immediately and the consumer gets
@@ -127,8 +162,10 @@ impl Session {
                 // The worker-start injection point: a panic here is a
                 // worker dying before it streams anything.
                 fault.trip(FaultPoint::WorkerStart);
-                run_worker(&inner, &query, &cfg, &worker_job.cancel_token(), &tx)
+                let send = |event| tx.send(event).map(|()| worker_wake.announce()).is_ok();
+                run_worker(&inner, &query, &cfg, &worker_job.cancel_token(), send)
             }));
+            let finished = matches!(outcome, Ok(Some(_)));
             worker_job.settle(match outcome {
                 // An abandoned stream (consumer dropped mid-run) counts
                 // as cancelled: the run did not complete.
@@ -138,6 +175,13 @@ impl Session {
                     JobOutcome::Failed(panic_message(payload.as_ref()))
                 }
             });
+            // A worker that dies without `Finished` still wakes its
+            // consumer, after closing the stream so the woken consumer
+            // sees the end rather than an empty buffer.
+            drop(tx);
+            if !finished {
+                worker_wake.announce();
+            }
         };
         let (worker, job) = match runtime {
             // No JoinHandle: the pool owns the thread. Dropping the
@@ -149,7 +193,7 @@ impl Session {
             }
             None => (Some(std::thread::spawn(body)), None),
         };
-        Session { rx: Some(rx), cancel, worker, job, finished: false }
+        Session { rx: Some(rx), wake, cancel, worker, job, finished: false }
     }
 
     /// The state of the session's [`Job`], when it was submitted through
@@ -164,31 +208,43 @@ impl Session {
         self.job.as_ref()
     }
 
-    /// Non-blocking pull: the next event if the worker has one ready (it
-    /// is parked on the rendezvous send), `None` when it is still
-    /// searching — or still waiting for a pool slot. Returns `None`
-    /// forever once [`Event::Finished`] has been delivered.
-    ///
-    /// This is the primitive [`crate::Multiplexer`] round-robins over: a
-    /// blocked `recv` on one session must never starve the others.
+    /// Installs the hook that announces this session's events to a
+    /// consumer serving many sources from one channel: the worker calls
+    /// `hook` once after each event it buffers, and once when it exits
+    /// without delivering [`Event::Finished`] (a panic). Each call is
+    /// answered by one [`Session::try_next`]: the next event, or `None`
+    /// with [`Session::is_finished`] set for a dead worker. Events
+    /// buffered before the hook went in are announced right here, on the
+    /// calling thread. Both sides take one lock, so no announcement is
+    /// lost or made twice; `hook` runs under it, so it must only post.
+    pub fn set_wake_hook(&self, hook: impl Fn() + Send + 'static) {
+        let mut wake = self.wake.0.lock().expect("wake lock");
+        for _ in 0..std::mem::take(&mut wake.1) {
+            hook();
+        }
+        wake.0 = Some(Box::new(hook));
+    }
+
+    /// Non-blocking pull: the next buffered event, or `None` when the
+    /// worker is still searching — or still waiting for a pool slot.
+    /// Returns `None` forever once [`Event::Finished`] has been
+    /// delivered.
     pub fn try_next(&mut self) -> Option<Event> {
         if self.finished {
             return None;
         }
-        let rx = self.rx.as_ref()?;
-        match rx.try_recv() {
-            Ok(event) => {
-                if matches!(event, Event::Finished(_)) {
-                    self.finished = true;
-                }
-                Some(event)
-            }
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => {
-                self.finished = true;
-                None
-            }
-        }
+        let got = match self.rx.as_ref()?.try_recv() {
+            Err(TryRecvError::Empty) => return None,
+            got => got.ok(),
+        };
+        self.record(got)
+    }
+
+    /// Passes a received event on, marking the stream finished at
+    /// `Finished` — or at `None`: a worker that died without one.
+    fn record(&mut self, got: Option<Event>) -> Option<Event> {
+        self.finished = got.as_ref().is_none_or(|e| matches!(e, Event::Finished(_)));
+        got
     }
 
     /// Whether the final [`Event::Finished`] has been delivered (the
@@ -230,33 +286,22 @@ impl Session {
 impl Iterator for Session {
     type Item = Event;
 
+    /// The next event, blocking until the worker buffers one; `None`
+    /// after `Finished`, or when the worker panicked (`drain()` panics).
     fn next(&mut self) -> Option<Event> {
         if self.finished {
             return None;
         }
-        let rx = self.rx.as_ref()?;
-        match rx.recv() {
-            Ok(event) => {
-                if matches!(event, Event::Finished(_)) {
-                    self.finished = true;
-                }
-                Some(event)
-            }
-            Err(_) => {
-                // Worker gone without Finished: only possible if it
-                // panicked; surface as end-of-stream (drain() panics).
-                self.finished = true;
-                None
-            }
-        }
+        let got = self.rx.as_ref()?.recv().ok();
+        self.record(got)
     }
 }
 
 impl Drop for Session {
     fn drop(&mut self) {
         self.cancel.cancel();
-        // Close the channel first so a worker blocked on the rendezvous
-        // send unblocks immediately, then reap it.
+        // Close the channel first so a worker blocked on a full buffer
+        // unblocks immediately, then reap it.
         self.rx.take();
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
@@ -272,7 +317,7 @@ fn run_worker(
     query: &Query,
     cfg: &RunConfig,
     cancel: &CancelToken,
-    tx: &SyncSender<Event>,
+    send: impl Fn(Event) -> bool,
 ) -> Option<Outcome> {
     let start = Instant::now();
     let ctx = ReContext::new(inner.synthesizer.semlib(), &inner.witnesses);
@@ -306,7 +351,7 @@ fn run_worker(
             }
             SynthEvent::DepthExhausted { depth } => Event::DepthExhausted { depth },
         };
-        if tx.send(to_send).is_err() {
+        if !send(to_send) {
             // Consumer dropped the session: stop working.
             abandoned = true;
             return false;
@@ -330,10 +375,10 @@ fn run_worker(
         || (stats.outcome == Outcome::Stopped && candidate_cap_hit);
     let outcome = stats.outcome;
     let result = RunResult { ranked, stats, re_time, total_time: start.elapsed() };
-    if budget_exhausted && tx.send(Event::BudgetExhausted).is_err() {
+    if budget_exhausted && !send(Event::BudgetExhausted) {
         return None;
     }
-    if tx.send(Event::Finished(result)).is_err() {
+    if !send(Event::Finished(result)) {
         return None;
     }
     Some(outcome)

@@ -15,8 +15,9 @@
 //!   sockets, with non-blocking accepts (so a serving loop can
 //!   interleave accepting with drain checks) and socket-file hygiene;
 //! * [`NetServer`] — the multi-client connection server: accept threads
-//!   plus one reader and one writer thread per connection, all funneled
-//!   into a single [`NetEvent`] channel keyed by [`ClientId`]. Sends are
+//!   plus one reader and one writer thread per connection, all posting
+//!   [`NetEvent`]s keyed by [`ClientId`] to one [`EventSink`] (the
+//!   serving loop's channel). Sends are
 //!   non-blocking (bounded per-client outbound queues), and a sweeper
 //!   disconnects clients that stop reading ([`DisconnectReason`]) — one
 //!   slow peer can never wedge the serving loop;
@@ -29,24 +30,25 @@
 //! ## A tiny echo server
 //!
 //! ```
+//! use std::sync::{mpsc, Arc};
+//!
 //! use apiphany_json::Value;
 //! use apiphany_net::{read_frame, write_frame, DEFAULT_MAX_FRAME};
-//! use apiphany_net::{Listener, ListenAddr, NetEvent, NetServer, Stream};
+//! use apiphany_net::{EventSink, Listener, ListenAddr, NetConfig, NetEvent, NetServer, Stream};
 //!
 //! let listener = Listener::bind(&ListenAddr::parse("tcp:127.0.0.1:0").unwrap()).unwrap();
 //! let addr = listener.local_addr();
-//! let server = NetServer::start(vec![listener], DEFAULT_MAX_FRAME);
+//! let (tx, events) = mpsc::channel();
+//! let sink: EventSink = Arc::new(move |e| tx.send(e).is_ok());
+//! let server = NetServer::start(vec![listener], NetConfig::default(), sink);
 //!
 //! let mut client = Stream::connect(&addr).unwrap();
 //! write_frame(&mut client, &Value::obj([("hi", Value::Bool(true))])).unwrap();
 //!
 //! loop {
-//!     match server.try_recv() {
-//!         Some(NetEvent::Request(from, msg)) => {
-//!             server.send(from, &msg); // echo
-//!             break;
-//!         }
-//!         _ => std::thread::sleep(std::time::Duration::from_millis(1)),
+//!     if let NetEvent::Request(from, msg) = events.recv().unwrap() {
+//!         server.send(from, &msg); // echo
+//!         break;
 //!     }
 //! }
 //! let echoed = read_frame(&mut client, DEFAULT_MAX_FRAME).unwrap().unwrap().unwrap();
@@ -66,6 +68,7 @@ pub use frame::{
     PROTOCOL_VERSION,
 };
 pub use server::{
-    ClientId, DisconnectReason, NetConfig, NetEvent, NetServer, WriteFault, WriteFaultHook,
+    ClientId, DisconnectReason, EventSink, NetConfig, NetEvent, NetServer, WriteFault,
+    WriteFaultHook,
 };
 pub use signal::{install_term_flag, TermFlag};

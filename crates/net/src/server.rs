@@ -4,9 +4,11 @@
 //! [`NetServer`] owns the accepting sockets and every live connection.
 //! The serving application drives it from a single loop:
 //!
-//! * pull [`NetEvent`]s with [`NetServer::try_recv`] — connects,
-//!   decoded request frames, recoverable per-frame decode errors, and
-//!   disconnects, each tagged with the connection's [`ClientId`];
+//! * receive [`NetEvent`]s through the [`EventSink`] the server was
+//!   started with — connects, decoded request frames, recoverable
+//!   per-frame decode errors, and disconnects, each tagged with the
+//!   connection's [`ClientId`] — posted from the accept and reader
+//!   threads the moment they happen;
 //! * reply with [`NetServer::send`] — *non-blocking*: the frame lands on
 //!   the client's bounded outbound queue and a dedicated writer thread
 //!   drains it, so one stalled peer can never wedge the serving loop;
@@ -33,7 +35,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -125,13 +126,18 @@ pub enum WriteFault {
     Stall(Duration),
 }
 
+/// Where a [`NetServer`]'s accept and reader threads post its events
+/// (typically a send on the serving loop's channel). Returns `false` once
+/// the consumer is gone; the posting thread then stops.
+pub type EventSink = Arc<dyn Fn(NetEvent) -> bool + Send + Sync>;
+
 /// A hook consulted once per outbound frame; `Some(fault)` injects that
 /// fault. This is a closure (not a concrete fault-plane type) so this
 /// crate stays free of higher-layer dependencies — `synthd` adapts its
 /// seeded fault plane into one of these.
 pub type WriteFaultHook = Arc<dyn Fn() -> Option<WriteFault> + Send + Sync>;
 
-/// Tuning for [`NetServer::start_with`].
+/// Tuning for [`NetServer::start`].
 #[derive(Clone)]
 pub struct NetConfig {
     /// Per-frame payload cap (see [`DEFAULT_MAX_FRAME`]).
@@ -213,7 +219,6 @@ struct Shared {
 /// The multi-client connection server. See the module docs.
 pub struct NetServer {
     shared: Arc<Shared>,
-    events: Receiver<NetEvent>,
     accept_threads: Vec<JoinHandle<()>>,
     sweeper: Option<JoinHandle<()>>,
     addrs: Vec<ListenAddr>,
@@ -229,23 +234,14 @@ impl std::fmt::Debug for NetServer {
 }
 
 impl NetServer {
-    /// Starts serving on `listeners` with default tuning and the given
-    /// frame cap. See [`NetServer::start_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `listeners` is empty.
-    pub fn start(listeners: Vec<Listener>, max_frame: usize) -> NetServer {
-        NetServer::start_with(listeners, NetConfig { max_frame, ..NetConfig::default() })
-    }
-
     /// Starts serving on `listeners` (at least one; unix and tcp mix
-    /// freely — every accepted connection feeds the same event channel).
+    /// freely — every accepted connection posts to the same `events`
+    /// sink).
     ///
     /// # Panics
     ///
     /// Panics when `listeners` is empty.
-    pub fn start_with(listeners: Vec<Listener>, cfg: NetConfig) -> NetServer {
+    pub fn start(listeners: Vec<Listener>, cfg: NetConfig, events: EventSink) -> NetServer {
         assert!(!listeners.is_empty(), "NetServer::start needs at least one listener");
         let shared = Arc::new(Shared {
             clients: Mutex::new(HashMap::new()),
@@ -255,21 +251,20 @@ impl NetServer {
             outbox_high_water: AtomicUsize::new(0),
             cfg,
         });
-        let (tx, rx) = mpsc::channel();
         let addrs = listeners.iter().map(Listener::local_addr).collect();
         let accept_threads = listeners
             .into_iter()
             .map(|listener| {
                 let shared = Arc::clone(&shared);
-                let tx = tx.clone();
-                std::thread::spawn(move || accept_loop(&listener, &shared, &tx))
+                let events = Arc::clone(&events);
+                std::thread::spawn(move || accept_loop(&listener, &shared, &events))
             })
             .collect();
         let sweeper = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || sweep_loop(&shared))
         };
-        NetServer { shared, events: rx, accept_threads, sweeper: Some(sweeper), addrs }
+        NetServer { shared, accept_threads, sweeper: Some(sweeper), addrs }
     }
 
     /// The bound addresses (TCP ports resolved).
@@ -294,11 +289,6 @@ impl NetServer {
             .collect();
         ids.sort_unstable();
         ids
-    }
-
-    /// The next pending [`NetEvent`], if any (non-blocking).
-    pub fn try_recv(&self) -> Option<NetEvent> {
-        self.events.try_recv().ok()
     }
 
     /// Enqueues one frame for a client; its writer thread delivers it.
@@ -337,15 +327,6 @@ impl NetServer {
     /// before the next was enqueued).
     pub fn outbox_high_water(&self) -> usize {
         self.shared.outbox_high_water.load(Ordering::Relaxed)
-    }
-
-    /// Closes one client's connection (its reader delivers the
-    /// `Disconnected` event).
-    pub fn close(&self, client: ClientId) {
-        let clients = self.shared.clients.lock().expect("clients lock");
-        if let Some(conn) = clients.get(&client.0) {
-            conn.stream.shutdown();
-        }
     }
 
     /// Closes one client's connection after its already-queued outbound
@@ -421,7 +402,7 @@ impl Drop for NetServer {
     }
 }
 
-fn accept_loop(listener: &Listener, shared: &Arc<Shared>, tx: &Sender<NetEvent>) {
+fn accept_loop(listener: &Listener, shared: &Arc<Shared>, events: &EventSink) {
     while shared.accepting.load(Ordering::SeqCst) {
         match listener.poll_accept() {
             Ok(Some(stream)) => {
@@ -441,11 +422,11 @@ fn accept_loop(listener: &Listener, shared: &Arc<Shared>, tx: &Sender<NetEvent>)
                     .lock()
                     .expect("clients lock")
                     .insert(id.0, Client { stream, outbox: Arc::clone(&outbox) });
-                if tx.send(NetEvent::Connected(id)).is_err() {
-                    return; // server dropped
+                if !events(NetEvent::Connected(id)) {
+                    return; // the consumer is gone
                 }
                 spawn_writer(writer, outbox, shared.cfg.write_fault.clone());
-                spawn_reader(id, reader, Arc::clone(shared), tx.clone());
+                spawn_reader(id, reader, Arc::clone(shared), Arc::clone(events));
             }
             Ok(None) => std::thread::sleep(Duration::from_millis(2)),
             Err(_) => {
@@ -543,19 +524,19 @@ fn spawn_writer(mut stream: Stream, outbox: Arc<Outbox>, fault: Option<WriteFaul
     });
 }
 
-fn spawn_reader(id: ClientId, mut stream: Stream, shared: Arc<Shared>, tx: Sender<NetEvent>) {
+fn spawn_reader(id: ClientId, mut stream: Stream, shared: Arc<Shared>, events: EventSink) {
     std::thread::spawn(move || {
         let max_frame = shared.cfg.max_frame;
         let mut end = DisconnectReason::Eof;
         loop {
             match read_frame(&mut stream, max_frame) {
                 Ok(Some(Ok(msg))) => {
-                    if tx.send(NetEvent::Request(id, msg)).is_err() {
+                    if !events(NetEvent::Request(id, msg)) {
                         break;
                     }
                 }
                 Ok(Some(Err(err))) => {
-                    if tx.send(NetEvent::BadFrame(id, err)).is_err() {
+                    if !events(NetEvent::BadFrame(id, err)) {
                         break;
                     }
                 }
@@ -586,7 +567,7 @@ fn spawn_reader(id: ClientId, mut stream: Stream, shared: Arc<Shared>, tx: Sende
                 None => end,
             }
         };
-        let _ = tx.send(NetEvent::Disconnected(id, reason));
+        events(NetEvent::Disconnected(id, reason));
     });
 }
 
@@ -594,33 +575,29 @@ fn spawn_reader(id: ClientId, mut stream: Stream, shared: Arc<Shared>, tx: Sende
 mod tests {
     use super::*;
     use crate::frame::DEFAULT_MAX_FRAME;
+    use std::sync::mpsc;
 
-    fn recv_event(server: &NetServer) -> NetEvent {
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            if let Some(event) = server.try_recv() {
-                return event;
-            }
-            assert!(std::time::Instant::now() < deadline, "no event within 5s");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+    fn recv_event(events: &mpsc::Receiver<NetEvent>) -> NetEvent {
+        events.recv_timeout(Duration::from_secs(5)).expect("an event within 5s")
     }
 
-    fn tcp_server(cfg: NetConfig) -> (NetServer, ListenAddr) {
+    fn tcp_server(cfg: NetConfig) -> (NetServer, ListenAddr, mpsc::Receiver<NetEvent>) {
         let listener = Listener::bind(&ListenAddr::parse("tcp:127.0.0.1:0").unwrap()).unwrap();
         let addr = listener.local_addr();
-        (NetServer::start_with(vec![listener], cfg), addr)
+        let (tx, rx) = mpsc::channel();
+        let server = NetServer::start(vec![listener], cfg, Arc::new(move |e| tx.send(e).is_ok()));
+        (server, addr, rx)
     }
 
     #[test]
     fn accepts_decodes_replies_and_reports_disconnect() {
-        let (mut server, addr) = tcp_server(NetConfig::default());
+        let (mut server, addr, events) = tcp_server(NetConfig::default());
         let mut client = Stream::connect(&addr).unwrap();
-        let NetEvent::Connected(id) = recv_event(&server) else {
+        let NetEvent::Connected(id) = recv_event(&events) else {
             panic!("first event is Connected");
         };
         write_frame(&mut client, &Value::obj([("op", Value::from("ping"))])).unwrap();
-        let NetEvent::Request(from, msg) = recv_event(&server) else {
+        let NetEvent::Request(from, msg) = recv_event(&events) else {
             panic!("request frame");
         };
         assert_eq!(from, id);
@@ -632,12 +609,12 @@ mod tests {
         client.write_all(&3u32.to_be_bytes()).unwrap();
         client.write_all(b":-(").unwrap();
         client.flush().unwrap();
-        assert!(matches!(recv_event(&server), NetEvent::BadFrame(f, FrameError::Malformed(_)) if f == id));
+        assert!(matches!(recv_event(&events), NetEvent::BadFrame(f, FrameError::Malformed(_)) if f == id));
         write_frame(&mut client, &Value::obj([("op", Value::from("after"))])).unwrap();
-        assert!(matches!(recv_event(&server), NetEvent::Request(f, _) if f == id));
+        assert!(matches!(recv_event(&events), NetEvent::Request(f, _) if f == id));
         client.shutdown();
         assert!(matches!(
-            recv_event(&server),
+            recv_event(&events),
             NetEvent::Disconnected(f, DisconnectReason::Eof) if f == id
         ));
         assert!(!server.send(id, &Value::Null), "sends to a gone client fail");
@@ -647,9 +624,9 @@ mod tests {
 
     #[test]
     fn close_after_flush_delivers_queued_frames_then_eof() {
-        let (server, addr) = tcp_server(NetConfig::default());
+        let (server, addr, events) = tcp_server(NetConfig::default());
         let mut client = Stream::connect(&addr).unwrap();
-        let NetEvent::Connected(id) = recv_event(&server) else {
+        let NetEvent::Connected(id) = recv_event(&events) else {
             panic!("Connected first");
         };
         assert!(server.send(id, &Value::obj([("goodbye", Value::Bool(true))])));
@@ -660,7 +637,7 @@ mod tests {
         assert_eq!(frame.get("goodbye").and_then(Value::as_bool), Some(true));
         assert!(read_frame(&mut client, DEFAULT_MAX_FRAME).unwrap().is_none(), "clean EOF");
         assert!(matches!(
-            recv_event(&server),
+            recv_event(&events),
             NetEvent::Disconnected(f, DisconnectReason::Eof) if f == id
         ));
     }
@@ -674,14 +651,14 @@ mod tests {
             write_fault: Some(Arc::new(|| Some(WriteFault::Stall(Duration::from_millis(400))))),
             ..NetConfig::default()
         };
-        let (server, addr) = tcp_server(cfg);
+        let (server, addr, events) = tcp_server(cfg);
         let _client = Stream::connect(&addr).unwrap();
-        let NetEvent::Connected(id) = recv_event(&server) else {
+        let NetEvent::Connected(id) = recv_event(&events) else {
             panic!("Connected first");
         };
         assert!(server.send(id, &Value::obj([("seq", Value::Int(1))])));
         assert!(matches!(
-            recv_event(&server),
+            recv_event(&events),
             NetEvent::Disconnected(f, DisconnectReason::WriteStalled) if f == id
         ));
         assert!(!server.send(id, &Value::Null), "the stalled client is gone");
@@ -701,9 +678,9 @@ mod tests {
             })),
             ..NetConfig::default()
         };
-        let (server, addr) = tcp_server(cfg);
+        let (server, addr, events) = tcp_server(cfg);
         let _client = Stream::connect(&addr).unwrap();
-        let NetEvent::Connected(id) = recv_event(&server) else {
+        let NetEvent::Connected(id) = recv_event(&events) else {
             panic!("Connected first");
         };
         assert!(server.send(id, &Value::Int(1)));
@@ -712,7 +689,7 @@ mod tests {
         assert!(server.send(id, &Value::Int(3)));
         assert!(!server.send(id, &Value::Int(4)), "the third queued frame overflows cap 2");
         assert!(matches!(
-            recv_event(&server),
+            recv_event(&events),
             NetEvent::Disconnected(f, DisconnectReason::QueueOverflow) if f == id
         ));
         assert_eq!(server.outbox_high_water(), 2, "the backpressure high-water mark sticks");
@@ -724,14 +701,14 @@ mod tests {
             write_fault: Some(Arc::new(|| Some(WriteFault::Error(io::Error::other("injected"))))),
             ..NetConfig::default()
         };
-        let (server, addr) = tcp_server(cfg);
+        let (server, addr, events) = tcp_server(cfg);
         let _client = Stream::connect(&addr).unwrap();
-        let NetEvent::Connected(id) = recv_event(&server) else {
+        let NetEvent::Connected(id) = recv_event(&events) else {
             panic!("Connected first");
         };
         assert!(server.send(id, &Value::obj([("ok", Value::Bool(true))])), "the enqueue succeeds");
         assert!(matches!(
-            recv_event(&server),
+            recv_event(&events),
             NetEvent::Disconnected(f, DisconnectReason::WriteError) if f == id
         ));
     }

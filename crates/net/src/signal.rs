@@ -57,6 +57,9 @@ mod imp {
     }
 
     pub fn install() {
+        // SAFETY: `on_signal` is a `'static extern "C" fn` with the
+        // handler signature `signal(2)` expects, and all it does is store
+        // to a static atomic, which is async-signal-safe.
         unsafe {
             signal(SIGTERM, on_signal as *const () as usize);
             signal(SIGINT, on_signal as *const () as usize);

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use apiphany_core::{FaultKind, FaultPlane, FaultPoint};
 use apiphany_net::{
-    install_term_flag, ListenAddr, Listener, NetConfig, NetServer, WriteFault, WriteFaultHook,
+    install_term_flag, ListenAddr, Listener, NetConfig, WriteFault, WriteFaultHook,
     DEFAULT_MAX_FRAME,
 };
 use apiphany_server::{run_daemon, run_net_daemon, NetOptions};
@@ -43,7 +43,6 @@ fn write_fault_hook(plane: &FaultPlane) -> Option<WriteFaultHook> {
 fn main() -> ExitCode {
     let mut opts = NetOptions::default();
     let mut listen: Vec<ListenAddr> = Vec::new();
-    let mut stdio = false;
     let mut max_frame = DEFAULT_MAX_FRAME;
     let mut fault_seed = 0u64;
     let mut fault_spec: Option<String> = None;
@@ -75,7 +74,6 @@ fn main() -> ExitCode {
                 Some(Err(message)) => return usage(&message),
                 None => return usage("--listen needs unix:<path> or tcp:<host>:<port>"),
             },
-            "--stdio" => stdio = true,
             "--max-frame" => match args.get(i + 1).and_then(|s| s.parse().ok()) {
                 Some(n) if n > 0 => {
                     max_frame = n;
@@ -169,9 +167,6 @@ fn main() -> ExitCode {
         }
         i += 1;
     }
-    if stdio && !listen.is_empty() {
-        return usage("--stdio and --listen are mutually exclusive");
-    }
     if let Some(spec) = &fault_spec {
         match FaultPlane::parse(fault_seed, spec) {
             Ok(plane) => {
@@ -232,8 +227,7 @@ fn main() -> ExitCode {
         write_fault: write_fault_hook(&opts.daemon.fault),
         ..NetConfig::default()
     };
-    let server = NetServer::start_with(listeners, cfg);
-    match run_net_daemon(server, &opts, &term) {
+    match run_net_daemon(listeners, cfg, &opts, &term) {
         Ok(summary) => {
             eprintln!(
                 "synthd: served {} clients, {} requests, {} events, shed {}, stalled {}",
@@ -257,7 +251,7 @@ fn usage(error: &str) -> ExitCode {
         eprintln!("synthd: {error}");
     }
     eprintln!(
-        "usage: synthd [--slots N] [--cache-dir PATH] [--stdio]\n\
+        "usage: synthd [--slots N] [--cache-dir PATH]\n\
          \x20             [--listen unix:<path>|tcp:<host>:<port>]...\n\
          \x20             [--max-frame BYTES] [--max-client-live N]\n\
          \x20             [--max-client-waiting N] [--high-water N] [--drain-secs S]\n\
@@ -278,7 +272,7 @@ fn usage(error: &str) -> ExitCode {
          \x20 --fault-seed 7 --fault 'artifact_write=torn:1/4,frame_write=stall'\n\
          (points: artifact_read, artifact_write, frame_write, analysis,\n\
          worker_start; kinds: io, torn, panic, stall).\n\
-         Default mode speaks the JSON-lines protocol on stdin/stdout:\n\
+         Without --listen, speaks the JSON-lines protocol on stdin/stdout:\n\
          register (with optional prewarm), query, cancel, list, inspect,\n\
          evict, status, shutdown. With --listen (repeatable), serves the\n\
          same ops to many concurrent clients over length-prefixed JSON\n\

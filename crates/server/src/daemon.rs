@@ -1,43 +1,47 @@
-//! The daemon core: client-keyed serving state over one shared
-//! [`JobRuntime`](apiphany_core::JobRuntime) — synthesis sessions as
-//! `Search` jobs, analyze-once phases as `Analysis` jobs — plus the
-//! stdio front end ([`run_daemon`]) that drives it for a single client.
+//! The daemon core and the one serving loop every front end runs.
+//!
+//! [`serve`] blocks on one channel and handles each message in the order
+//! it was posted. The producers: the front end's input threads (stdio
+//! lines and EOF, or socket connects, frames and disconnects), the
+//! analysis-job continuations that deliver a waiting query's session,
+//! the analysis jobs the daemon reports (on start and on settle), and the
+//! wake hooks of live sessions (one post per buffered event). Nothing
+//! sleeps or sweeps: a message, or a front end's own deadline, is the
+//! only thing that wakes the loop.
 //!
 //! **No analysis (and no other blocking work) ever runs on the loop
 //! thread.** A cold service's first query enqueues behind that service's
 //! analysis job: when the job settles, its continuation submits the
 //! session (on the settling worker, before the pool picks its next job),
 //! so warm queries keep streaming — by construction, not by luck — while
-//! a large service mines. The loop observes analysis jobs and reports
-//! their transitions as `analysis_started` / `analysis_ready` /
-//! `analysis_failed` events.
+//! a large service mines. The loop reports analysis jobs as
+//! `analysis_started` / `analysis_ready` / `analysis_failed` events.
 //!
 //! Every piece of per-query state is keyed by [`QKey`] — a client id
 //! plus the client's own query id — so many connections can serve
 //! overlapping id namespaces from one daemon, and a dropped connection
-//! cancels exactly its own work ([`Daemon::drop_client`], backed by the
-//! core's [`CancelScopes`]). The stdio front end is the one-client
-//! special case (client 0); the socket front end in [`crate::netd`]
-//! drives the same core for many.
+//! cancels exactly its own work ([`Daemon::drop_client`]). The front ends
+//! are [`Transport`]s: the stdio one ([`run_daemon`]) serves one implicit
+//! client, the socket one in [`crate::netd`] serves many; the protocol
+//! differences between them live there, not in the loop.
 
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
-use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
-use std::time::Duration;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
+use std::time::Instant;
 
 use apiphany_core::{
-    CancelScopes, CatalogSubmission, Engine, EngineError, Event, FaultPlane, Job, JobRuntime,
-    JobState, Multiplexer, RetryPolicy, Scheduler, ScopeTicket, ServiceCatalog, ServiceLookup,
-    Session, Telemetry,
+    CatalogSubmission, Engine, EngineError, Event, FaultPlane, Job, JobId, JobRuntime, JobState,
+    RetryPolicy, Scheduler, ServiceCatalog, ServiceLookup, Session, Telemetry,
 };
 use apiphany_json::Value;
 
 use crate::proto::{
     analysis_failed_value, analysis_ready_value, analysis_started_value, cancelled_finished_value,
     coded_error_response, error_event, error_response, event_value, job_value, lint_fields,
-    ok_response, service_info_value, Request, RegisterSource,
-    CODE_PARSE_ERROR,
+    ok_response, service_info_value, Request, RegisterSource, CODE_PARSE_ERROR,
 };
 
 /// Configuration of one daemon run.
@@ -76,7 +80,7 @@ impl Default for DaemonOptions {
 }
 
 /// What a finished daemon run processed (returned for tests and logs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DaemonSummary {
     /// Request lines/frames handled (including malformed ones).
     pub requests: usize,
@@ -91,44 +95,6 @@ pub struct DaemonSummary {
 pub(crate) struct QKey {
     pub(crate) client: u64,
     pub(crate) id: String,
-}
-
-impl QKey {
-    pub(crate) fn new(client: u64, id: impl Into<String>) -> QKey {
-        QKey { client, id: id.into() }
-    }
-}
-
-/// Where protocol lines go: the stdio loop writes every client-0 line to
-/// its one output; the socket loop routes each line to its client's
-/// connection (and drops lines addressed to a client that is gone).
-pub(crate) trait Sink {
-    /// Writes one protocol line for `client`.
-    ///
-    /// # Errors
-    ///
-    /// Implementations return an error only for conditions fatal to the
-    /// whole serving loop (stdio output gone); a single client's dead
-    /// connection is not one.
-    fn emit(&mut self, client: u64, value: &Value) -> std::io::Result<()>;
-}
-
-/// The stdio sink: one output stream, one implicit client.
-pub(crate) struct LineSink<'a, W: Write>(pub(crate) &'a mut W);
-
-impl<W: Write> Sink for LineSink<'_, W> {
-    fn emit(&mut self, _client: u64, value: &Value) -> std::io::Result<()> {
-        write_line(self.0, value)
-    }
-}
-
-/// An analysis job the loop reports transitions for, with the clients
-/// subscribed to its lifecycle events.
-struct Watch {
-    service: String,
-    job: Job<Engine>,
-    last: JobState,
-    subscribers: Vec<u64>,
 }
 
 /// Per-service accumulated search cost across finished queries (the
@@ -154,33 +120,120 @@ pub(crate) struct Occupancy {
     pub(crate) waiting: usize,
 }
 
+/// What wakes the serving loop: one message from one producer.
+pub(crate) enum Msg<I> {
+    /// Input from the front end: a stdio line or EOF, a socket event.
+    Input(I),
+    /// A report from one of the daemon core's own producers.
+    Note(Note),
+}
+
+/// What the daemon core's producers post to the loop.
+pub(crate) enum Note {
+    /// An analysis-job continuation delivers a waiting query's session,
+    /// or the error that replaces it; `token` names the submission.
+    Delivered { key: QKey, token: u64, submitted: Result<Session, EngineError> },
+    /// A reported analysis job started running, or settled.
+    Analysis(JobId, JobState),
+    /// A live query's session buffered one event, or its worker died
+    /// without `Finished`.
+    Woken(QKey, u64),
+}
+
+/// How the daemon core's producers post to the loop's channel.
+type Post = Arc<dyn Fn(Note) + Send + Sync>;
+
+/// A front end of the serving loop: where protocol lines go, what its
+/// input threads post, and when it stops taking requests.
+pub(crate) trait Transport {
+    /// What the front end's input threads post to the loop.
+    type Input;
+
+    /// Writes one protocol line for `client`. Errors are fatal to the
+    /// whole loop (stdout gone); a client's dead connection is not one.
+    fn emit(&mut self, client: u64, value: &Value) -> std::io::Result<()>;
+
+    /// Handles one input.
+    fn input(&mut self, daemon: &mut Daemon, input: Self::Input) -> std::io::Result<()>;
+
+    /// Whether the front end has stopped taking requests: the loop
+    /// returns once it has and every stream has drained.
+    fn closing(&self) -> bool;
+
+    /// Timed bookkeeping, run before the first message and after every
+    /// message or deadline; returns when the loop must next wake although
+    /// nothing was posted (`None`: only a message wakes it).
+    fn tick(&mut self, _daemon: &mut Daemon) -> std::io::Result<Option<Instant>> {
+        Ok(None)
+    }
+}
+
+/// The serving loop of every front end: block on the channel, handle
+/// each message in posting order, and return once the front end is
+/// closing and every stream has drained.
+pub(crate) fn serve<T: Transport>(
+    daemon: &mut Daemon,
+    front: &mut T,
+    rx: &Receiver<Msg<T::Input>>,
+) -> std::io::Result<()> {
+    let mut deadline = front.tick(daemon)?;
+    while !(front.closing() && daemon.is_idle()) {
+        // The daemon holds a sender, so the channel never disconnects.
+        let msg = match deadline {
+            Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())).ok(),
+            None => rx.recv().ok(),
+        };
+        match msg {
+            Some(Msg::Input(input)) => front.input(daemon, input)?,
+            Some(Msg::Note(note)) => daemon.note(front, note)?,
+            None => {}
+        }
+        deadline = front.tick(daemon)?;
+    }
+    Ok(())
+}
+
+/// One in-flight query.
+struct Query {
+    /// Names this submission: a delivery or wake-up carrying another
+    /// token belongs to an earlier query under the same id.
+    token: u64,
+    /// The spec's reporting cap.
+    top_k: Option<usize>,
+    stage: Stage,
+}
+
+enum Stage {
+    /// Queued behind this analysis job, whose continuation delivers the
+    /// session.
+    Waiting(JobId),
+    /// Streaming from a session whose wake hook posts to the loop.
+    Live(Session),
+}
+
+/// An analysis job the loop reports, with the clients subscribed to it.
+struct Watch {
+    service: String,
+    job: Job<Engine>,
+    /// Whether `analysis_started` went out.
+    started: bool,
+    subscribers: Vec<u64>,
+}
+
 /// The daemon core: the catalog and the scheduler share one
 /// [`JobRuntime`](apiphany_core::JobRuntime), so analysis and search
-/// schedule through the same two-lane pool; every per-query map is keyed
-/// by [`QKey`].
+/// schedule through the same two-lane pool; every query is keyed by
+/// [`QKey`].
 pub(crate) struct Daemon {
     catalog: ServiceCatalog,
     scheduler: Scheduler,
-    mux: Multiplexer<QKey>,
-    /// Reporting caps of *live* (session-backed) queries; together with
-    /// `pending` this is the in-use key set.
-    top_k: HashMap<QKey, Option<usize>>,
-    /// Queries queued behind their service's analysis job (value = the
-    /// spec's reporting cap, installed once the session arrives).
-    pending: HashMap<QKey, Option<usize>>,
-    /// Live queries' search-job handles, kept so a worker that dies
-    /// without a `Finished` event can be closed out with the job's
-    /// structured failure reason instead of a generic message.
-    jobs: HashMap<QKey, Job<()>>,
+    /// Every in-flight query, waiting on its analysis or live.
+    queries: HashMap<QKey, Query>,
+    /// The last submission token handed out.
+    tokens: u64,
     /// Analysis jobs being reported to clients.
-    watchers: Vec<Watch>,
-    /// Client-scoped cancellation: every live session's token, filed
-    /// under its client id, so a dropped connection cancels exactly that
-    /// client's work.
-    scopes: CancelScopes,
-    tickets: HashMap<QKey, ScopeTicket>,
-    /// Hands sessions from analysis-job continuations to the loop.
-    done_tx: Sender<(QKey, Result<Session, EngineError>)>,
+    watchers: HashMap<JobId, Watch>,
+    post: Post,
     /// The observability plane (shared with the runtime, catalog, and
     /// fault plane); the `metrics`/`dump-recorder` ops read it.
     telemetry: Telemetry,
@@ -189,15 +242,12 @@ pub(crate) struct Daemon {
     pub(crate) summary: DaemonSummary,
 }
 
-/// What an analysis-job continuation delivers back to the loop.
-pub(crate) type Delivery = (QKey, Result<Session, EngineError>);
-
-/// Runs the daemon over a request stream and a response sink until the
+/// Runs the daemon over a request stream and a response sink — the stdio
+/// front end of the serving loop, for one implicit client — until the
 /// input is exhausted (or a `shutdown` request arrives) *and* every open
-/// session has drained and every watched analysis job has settled. Each
-/// input line is handled in order; session events interleave between
-/// request handling, tagged with their query id, with the
-/// [`Multiplexer`]'s round-robin fairness across concurrent queries.
+/// session has drained and every watched analysis job has settled. Lines
+/// are handled in order; session events interleave with them in the
+/// order they were produced, tagged with their query id.
 ///
 /// The query ack is written when the request is accepted — for a cold
 /// service it carries the name of the analysis the query is queued
@@ -226,103 +276,106 @@ where
     R: BufRead + Send + 'static,
     W: Write,
 {
-    const CLIENT: u64 = 0;
-    let (mut daemon, done_rx) = Daemon::new(opts);
-    let mut sink = LineSink(output);
-
-    // The reader thread turns the blocking input into a pollable channel,
-    // so one slow/absent request line never stalls event pumping. It
-    // reads raw bytes per line: a line of invalid UTF-8 must reach the
-    // parser (to earn its parse_error reply), not kill the reader.
-    let (req_tx, req_rx) = mpsc::channel::<String>();
-    let reader = std::thread::spawn(move || {
+    let (mut daemon, tx, rx) = Daemon::new(opts);
+    // The reader thread posts each line, then `None` at EOF. It reads raw
+    // bytes: a line of invalid UTF-8 must reach the parser (to earn its
+    // parse_error reply), not kill the reader. It is detached: after a
+    // `shutdown` with the input left open it stays parked in a blocking
+    // read and exits on the next line or EOF, when its post fails.
+    // Joining it would hang `shutdown` until the client closed its pipe.
+    std::thread::spawn(move || {
         let mut input = input;
         let mut buf = Vec::new();
         loop {
             buf.clear();
-            match input.read_until(b'\n', &mut buf) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {
-                    let line = String::from_utf8_lossy(&buf).trim_end().to_string();
-                    if req_tx.send(line).is_err() {
-                        break;
-                    }
-                }
+            let line = match input.read_until(b'\n', &mut buf) {
+                Ok(0) | Err(_) => None,
+                Ok(_) => Some(String::from_utf8_lossy(&buf).trim_end().to_string()),
+            };
+            let eof = line.is_none();
+            if tx.send(Msg::Input(line)).is_err() || eof {
+                break;
             }
         }
     });
-
-    let mut closing = false; // no more requests (EOF or shutdown)
-    loop {
-        let mut progressed = false;
-        if !closing {
-            match req_rx.try_recv() {
-                Ok(line) => {
-                    progressed = true;
-                    if line.trim().is_empty() {
-                        // Blank lines are keep-alives; ignore.
-                    } else {
-                        daemon.summary.requests += 1;
-                        let responses = match Request::parse(&line) {
-                            Err(message) => {
-                                vec![coded_error_response(
-                                    None,
-                                    None,
-                                    CODE_PARSE_ERROR,
-                                    &message,
-                                )]
-                            }
-                            Ok(Request::Shutdown) => {
-                                closing = true;
-                                let mut lines = vec![ok_response("shutdown", [])];
-                                lines.extend(
-                                    daemon.cancel_all().into_iter().map(|(_, v)| v),
-                                );
-                                lines
-                            }
-                            Ok(request) => daemon.handle(CLIENT, request),
-                        };
-                        for response in responses {
-                            sink.emit(CLIENT, &response)?;
-                        }
-                    }
-                }
-                Err(TryRecvError::Disconnected) => closing = true,
-                Err(TryRecvError::Empty) => {}
-            }
-        }
-        // Sessions delivered by analysis-job continuations.
-        if let Ok((key, submitted)) = done_rx.try_recv() {
-            progressed = true;
-            daemon.install_submission(&mut sink, key, submitted)?;
-        }
-        // Analysis job transitions → analysis_* events.
-        progressed |= daemon.pump_watchers(&mut sink)?;
-        // Session events, round-robin across live queries.
-        progressed |= daemon.pump_sessions(&mut sink)?;
-        if closing && daemon.is_idle() {
-            break;
-        }
-        if !progressed {
-            std::thread::sleep(Duration::from_micros(500));
-        }
-    }
-    drop(req_rx); // unblocks a reader parked in send
-    if reader.is_finished() {
-        let _ = reader.join();
-    }
-    // A reader still parked in a blocking read (shutdown op with the
-    // input left open) is detached: it exits on the next line or EOF,
-    // and its send fails harmlessly. Joining it here would hang the
-    // documented `shutdown` op until the client closed its pipe.
-    sink.0.flush()?;
+    let mut front = Stdio { out: output, closing: false };
+    serve(&mut daemon, &mut front, &rx)?;
+    front.out.flush()?;
     Ok(daemon.summary)
 }
 
+/// The stdio front end: JSON lines both ways for one implicit client,
+/// with no `hello`, no `"v"` field, no auth and no quotas. EOF stops
+/// taking requests and lets every stream finish; `shutdown` also cancels
+/// everything at once.
+struct Stdio<'a, W: Write> {
+    out: &'a mut W,
+    closing: bool,
+}
+
+impl<W: Write> Transport for Stdio<'_, W> {
+    /// A request line, or `None` at EOF.
+    type Input = Option<String>;
+
+    fn emit(&mut self, _client: u64, value: &Value) -> std::io::Result<()> {
+        let mut line = value.to_json();
+        debug_assert!(!line.contains('\n'), "response must be a single line");
+        line.push('\n');
+        self.out.write_all(line.as_bytes())?;
+        self.out.flush()
+    }
+
+    fn input(&mut self, daemon: &mut Daemon, line: Option<String>) -> std::io::Result<()> {
+        const CLIENT: u64 = 0;
+        let Some(line) = line else {
+            self.closing = true;
+            return Ok(());
+        };
+        // Blank lines are keep-alives; lines after `shutdown` go unread.
+        if self.closing || line.trim().is_empty() {
+            return Ok(());
+        }
+        daemon.summary.requests += 1;
+        match Request::parse(&line) {
+            Err(message) => {
+                self.emit(CLIENT, &coded_error_response(None, None, CODE_PARSE_ERROR, &message))
+            }
+            Ok(Request::Shutdown) => {
+                self.closing = true;
+                self.emit(CLIENT, &ok_response("shutdown", []))?;
+                daemon.cancel_all(self)
+            }
+            Ok(request) => daemon.handle(self, CLIENT, request),
+        }
+    }
+
+    fn closing(&self) -> bool {
+        self.closing
+    }
+}
+
+/// One analysis event, to every subscriber of its job.
+fn broadcast(
+    out: &mut impl Transport,
+    summary: &mut DaemonSummary,
+    subscribers: &[u64],
+    line: &Value,
+) -> std::io::Result<()> {
+    summary.events += 1;
+    for &client in subscribers {
+        out.emit(client, line)?;
+    }
+    Ok(())
+}
+
 impl Daemon {
-    /// A fresh daemon core plus the receiving end of its analysis-job
-    /// continuation channel (the serving loop polls it).
-    pub(crate) fn new(opts: &DaemonOptions) -> (Daemon, Receiver<Delivery>) {
+    /// A fresh daemon core and the serving loop's channel. The core's own
+    /// producers — analysis continuations, job reports, session wake
+    /// hooks — post to it; the returned sender is for the front end's
+    /// input threads.
+    pub(crate) fn new<I: Send + 'static>(
+        opts: &DaemonOptions,
+    ) -> (Daemon, Sender<Msg<I>>, Receiver<Msg<I>>) {
         let runtime = JobRuntime::new(opts.slots).with_telemetry(opts.telemetry.clone());
         opts.fault.set_telemetry(opts.telemetry.clone());
         let scheduler = Scheduler::with_runtime(runtime).with_fault(opts.fault.clone());
@@ -336,57 +389,67 @@ impl Daemon {
             }
             catalog
         };
-        let (done_tx, done_rx) = mpsc::channel::<Delivery>();
+        let (tx, rx) = mpsc::channel();
+        let notes = tx.clone();
         let daemon = Daemon {
             catalog,
             scheduler,
-            mux: Multiplexer::new(),
-            top_k: HashMap::new(),
-            pending: HashMap::new(),
-            jobs: HashMap::new(),
-            watchers: Vec::new(),
-            scopes: CancelScopes::new(),
-            tickets: HashMap::new(),
-            done_tx,
+            queries: HashMap::new(),
+            tokens: 0,
+            watchers: HashMap::new(),
+            post: Arc::new(move |note| {
+                let _ = notes.send(Msg::Note(note));
+            }),
             telemetry: opts.telemetry.clone(),
             search_totals: HashMap::new(),
-            summary: DaemonSummary { requests: 0, events: 0 },
+            summary: DaemonSummary::default(),
         };
-        (daemon, done_rx)
+        (daemon, tx, rx)
     }
 
-    /// Whether every stream has drained: no live sessions, no queries
-    /// waiting on analysis, no watched analysis jobs. The exit condition
-    /// of every serving loop.
+    /// Whether every stream has drained: no in-flight queries and no
+    /// watched analysis jobs.
     pub(crate) fn is_idle(&self) -> bool {
-        self.mux.is_empty() && self.pending.is_empty() && self.watchers.is_empty()
+        self.queries.is_empty() && self.watchers.is_empty()
     }
 
-    /// The global queued-search backlog (the socket loop's high-water
-    /// admission input).
+    /// The global queued-search backlog (the socket front end's
+    /// high-water admission input).
     pub(crate) fn queued_search(&self) -> usize {
         self.scheduler.runtime().stats().queued_search
     }
 
-    /// The daemon's observability plane (the socket front end records
-    /// transport counters and admission decisions into it).
-    pub(crate) fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
     /// How much of the daemon one client is using.
     pub(crate) fn occupancy(&self, client: u64) -> Occupancy {
-        Occupancy {
-            live: self.top_k.keys().filter(|k| k.client == client).count(),
-            waiting: self.pending.keys().filter(|k| k.client == client).count(),
+        let mut occupancy = Occupancy::default();
+        for (_, query) in self.queries.iter().filter(|(key, _)| key.client == client) {
+            match query.stage {
+                Stage::Waiting(_) => occupancy.waiting += 1,
+                Stage::Live(_) => occupancy.live += 1,
+            }
+        }
+        occupancy
+    }
+
+    /// Handles one note from the core's own producers.
+    fn note(&mut self, out: &mut impl Transport, note: Note) -> std::io::Result<()> {
+        match note {
+            Note::Delivered { key, token, submitted } => self.deliver(out, key, token, submitted),
+            Note::Analysis(job, state) => self.analysis(out, job, &state),
+            Note::Woken(key, token) => self.pull(out, &key, token).map(drop),
         }
     }
 
     /// Handles one well-formed, non-shutdown request from `client`,
-    /// returning the response lines to write to that client. Nothing here
-    /// blocks: cold-service queries are chained onto their analysis job,
+    /// writing its response lines to `out`. Nothing here blocks:
+    /// cold-service queries are chained onto their analysis job,
     /// registrations with `prewarm` start the job and return.
-    pub(crate) fn handle(&mut self, client: u64, request: Request) -> Vec<Value> {
+    pub(crate) fn handle(
+        &mut self,
+        out: &mut impl Transport,
+        client: u64,
+        request: Request,
+    ) -> std::io::Result<()> {
         let op = request.op();
         match request {
             Request::Register { service, source, prewarm } => {
@@ -421,148 +484,114 @@ impl Daemon {
                         .register_spec(&service, *library, witnesses)
                         .map_err(|e| e.to_string()),
                 };
-                match registered {
-                    Err(message) => vec![error_response(Some(op), None, &message)],
-                    Ok(()) => {
-                        let mut fields = Vec::new();
-                        if prewarm {
-                            match self.catalog.prewarm(&service) {
-                                // Registration succeeded either way; a
-                                // prewarm failure would need an already
-                                // concurrently-evicted name.
-                                Err(_) => {}
-                                Ok(job) => {
-                                    fields.push((
-                                        "job",
-                                        job_value(job.id(), job.kind(), &job.state()),
-                                    ));
-                                    self.watch(client, &service, job);
-                                }
-                            }
-                        }
-                        let info = self.catalog.inspect(&service).expect("just registered");
-                        fields.insert(0, ("service", service_info_value(&info)));
-                        vec![ok_response(op, fields)]
+                if let Err(message) = registered {
+                    return out.emit(client, &error_response(Some(op), None, &message));
+                }
+                let mut fields = Vec::new();
+                if prewarm {
+                    // Registration succeeded either way; a prewarm failure
+                    // would need an already concurrently-evicted name.
+                    if let Ok(job) = self.catalog.prewarm(&service) {
+                        fields.push(("job", job_value(job.id(), job.kind(), &job.state())));
+                        self.watch(client, &service, job);
                     }
                 }
+                let info = self.catalog.inspect(&service).expect("just registered");
+                fields.insert(0, ("service", service_info_value(&info)));
+                out.emit(client, &ok_response(op, fields))
             }
             Request::Query { id, spec } => {
-                let key = QKey::new(client, id.clone());
-                if self.top_k.contains_key(&key) || self.pending.contains_key(&key) {
-                    return vec![error_response(
-                        Some(op),
-                        Some(&id),
-                        &format!("query id '{id}' is already in use"),
-                    )];
+                let key = QKey { client, id: id.clone() };
+                if self.queries.contains_key(&key) {
+                    let message = format!("query id '{id}' is already in use");
+                    return out.emit(client, &error_response(Some(op), Some(&id), &message));
                 }
-                let done_tx = self.done_tx.clone();
+                self.tokens += 1;
+                let token = self.tokens;
+                let post = Arc::clone(&self.post);
                 let deliver_key = key.clone();
-                let submission = self.scheduler.submit_catalog_async(
-                    &self.catalog,
-                    &spec,
-                    move |result| {
-                        let _ = done_tx.send((deliver_key, result));
-                    },
-                );
+                let submission =
+                    self.scheduler.submit_catalog_async(&self.catalog, &spec, move |submitted| {
+                        post(Note::Delivered { key: deliver_key, token, submitted });
+                    });
                 match submission {
-                    Err(e) => vec![error_response(Some(op), Some(&id), &e.to_string())],
+                    Err(e) => {
+                        out.emit(client, &error_response(Some(op), Some(&id), &e.to_string()))
+                    }
                     Ok(CatalogSubmission::Started(session)) => {
-                        let ack = ok_response(op, [("id", Value::from(id.as_str()))]);
-                        self.install_session(key, spec.top_k, session);
-                        vec![ack]
+                        out.emit(client, &ok_response(op, [("id", Value::from(id.as_str()))]))?;
+                        self.go_live(out, key, token, spec.top_k, session)
                     }
                     Ok(CatalogSubmission::Pending(job)) => {
-                        self.pending.insert(key, spec.top_k);
                         let service = job.label().to_string();
-                        let ack = ok_response(
-                            op,
-                            [
-                                ("id", Value::from(id.as_str())),
-                                ("analysis", Value::from(service.as_str())),
-                            ],
-                        );
+                        let analysis = Value::from(service.as_str());
+                        let ack = [("id", Value::from(id.as_str())), ("analysis", analysis)];
+                        out.emit(client, &ok_response(op, ack))?;
+                        let stage = Stage::Waiting(job.id());
+                        self.queries.insert(key, Query { token, top_k: spec.top_k, stage });
                         self.watch(client, &service, job);
-                        vec![ack]
+                        Ok(())
                     }
                 }
             }
             Request::Cancel { id } => {
-                let key = QKey::new(client, id.clone());
-                let mut found = false;
-                self.mux.for_each_session(|tag, session| {
-                    if *tag == key {
-                        session.cancel();
-                        found = true;
-                    }
-                });
-                let mut lines = Vec::new();
-                if self.pending.remove(&key).is_some() {
+                let key = QKey { client, id: id.clone() };
+                let stage = self.queries.get(&key).map(|query| &query.stage);
+                // A cancelled live session still streams its Finished
+                // event; the response only reports whether the id was
+                // in flight.
+                if let Some(Stage::Live(session)) = stage {
+                    session.cancel();
+                }
+                let waiting = matches!(stage, Some(Stage::Waiting(_)));
+                let active = Value::Bool(stage.is_some());
+                let ack = [("id", Value::from(id.as_str())), ("active", active)];
+                out.emit(client, &ok_response(op, ack))?;
+                if waiting {
                     // Still queued behind an analysis: terminate promptly
                     // with an empty cancelled finish; the continuation's
                     // late delivery is discarded on arrival.
-                    found = true;
+                    self.queries.remove(&key);
                     self.summary.events += 1;
-                    lines.push(cancelled_finished_value(&id));
+                    out.emit(client, &cancelled_finished_value(&id))?;
                 }
-                // A cancelled running session still streams its Finished
-                // event; the response only reports whether the id was
-                // live.
-                lines.insert(
-                    0,
-                    ok_response(
-                        op,
-                        [("id", Value::from(id.as_str())), ("active", Value::Bool(found))],
-                    ),
-                );
-                lines
+                Ok(())
             }
             Request::List => {
                 let services: Vec<Value> =
                     self.catalog.list().iter().map(service_info_value).collect();
-                vec![ok_response(op, [("services", Value::Array(services))])]
+                out.emit(client, &ok_response(op, [("services", Value::Array(services))]))
             }
             Request::Inspect { service } => match self.catalog.inspect(&service) {
-                None => vec![error_response(
-                    Some(op),
-                    None,
-                    &format!("unknown service '{service}'"),
-                )],
+                None => out.emit(
+                    client,
+                    &error_response(Some(op), None, &format!("unknown service '{service}'")),
+                ),
                 Some(info) => {
                     let mut fields = vec![("service", service_info_value(&info))];
                     if let Some(t) = self.search_totals.get(&service) {
+                        let count = |n: u64| Value::Int(n.min(i64::MAX as u64) as i64);
                         fields.push((
                             "search",
                             Value::obj([
-                                ("queries", Value::Int(t.queries.min(i64::MAX as u64) as i64)),
-                                ("nodes", Value::Int(t.nodes.min(i64::MAX as u64) as i64)),
-                                (
-                                    "dead_hits",
-                                    Value::Int(t.dead_hits.min(i64::MAX as u64) as i64),
-                                ),
-                                (
-                                    "dead_shared_hits",
-                                    Value::Int(t.dead_shared_hits.min(i64::MAX as u64) as i64),
-                                ),
-                                (
-                                    "dead_misses",
-                                    Value::Int(t.dead_misses.min(i64::MAX as u64) as i64),
-                                ),
-                                (
-                                    "dead_evicted",
-                                    Value::Int(t.dead_evicted.min(i64::MAX as u64) as i64),
-                                ),
+                                ("queries", count(t.queries)),
+                                ("nodes", count(t.nodes)),
+                                ("dead_hits", count(t.dead_hits)),
+                                ("dead_shared_hits", count(t.dead_shared_hits)),
+                                ("dead_misses", count(t.dead_misses)),
+                                ("dead_evicted", count(t.dead_evicted)),
                             ]),
                         ));
                     }
-                    vec![ok_response(op, fields)]
+                    out.emit(client, &ok_response(op, fields))
                 }
             },
             Request::Lint { service } => match self.catalog.lookup(&service) {
-                Err(e) => vec![error_response(Some(op), None, &e.to_string())],
+                Err(e) => out.emit(client, &error_response(Some(op), None, &e.to_string())),
                 // Warm: the engine computed its diagnostics at analysis
                 // time — answer inline, nothing blocks.
                 Ok(ServiceLookup::Ready(engine)) => {
-                    vec![ok_response(op, lint_fields(&service, engine.diagnostics()))]
+                    out.emit(client, &ok_response(op, lint_fields(&service, engine.diagnostics())))
                 }
                 // Cold: the lookup claimed the entry and started (or
                 // joined) the analysis job. Report it as pending — the
@@ -577,27 +606,21 @@ impl Daemon {
                         ],
                     );
                     self.watch(client, &service, job);
-                    vec![ack]
+                    out.emit(client, &ack)
                 }
             },
             Request::Evict { service } => {
-                let removed = self.catalog.evict(&service);
-                vec![ok_response(
-                    op,
-                    [
-                        ("service", Value::from(service.as_str())),
-                        ("removed", Value::Bool(removed)),
-                    ],
-                )]
+                let removed = Value::Bool(self.catalog.evict(&service));
+                let fields = [("service", Value::from(service.as_str())), ("removed", removed)];
+                out.emit(client, &ok_response(op, fields))
             }
-            Request::Status => vec![self.status(client)],
+            Request::Status => out.emit(client, &self.status(client)),
             Request::Metrics => {
-                vec![ok_response(op, [("metrics", self.telemetry.snapshot_value())])]
+                out.emit(client, &ok_response(op, [("metrics", self.telemetry.snapshot_value())]))
             }
-            Request::DumpRecorder => {
-                vec![ok_response(op, [("events", self.telemetry.recorder_dump_value())])]
-            }
-            Request::Shutdown => unreachable!("handled by the serving loop"),
+            Request::DumpRecorder => out
+                .emit(client, &ok_response(op, [("events", self.telemetry.recorder_dump_value())])),
+            Request::Shutdown => unreachable!("handled by the front end"),
         }
     }
 
@@ -637,48 +660,29 @@ impl Daemon {
         let services: Vec<Value> =
             self.catalog.list().iter().map(service_info_value).collect();
         let mut queries: Vec<(String, Value)> = Vec::new();
-        self.mux.for_each_session(|tag, session| {
-            if tag.client != client {
-                return;
-            }
-            let state = session
-                .job_state()
-                .map_or("running", |s| match s {
+        for (key, query) in self.queries.iter().filter(|(key, _)| key.client == client) {
+            let state = match &query.stage {
+                Stage::Waiting(_) => "waiting_analysis",
+                Stage::Live(session) => session.job_state().map_or("running", |s| match s {
                     JobState::Queued => "queued",
                     JobState::Running => "running",
                     // Terminal but not yet drained by the client.
                     _ => "draining",
-                });
-            queries.push((
-                tag.id.clone(),
-                Value::obj([
-                    ("id", Value::from(tag.id.as_str())),
-                    ("state", Value::from(state)),
-                ]),
-            ));
-        });
-        for key in self.pending.keys().filter(|k| k.client == client) {
+                }),
+            };
             queries.push((
                 key.id.clone(),
-                Value::obj([
-                    ("id", Value::from(key.id.as_str())),
-                    ("state", Value::from("waiting_analysis")),
-                ]),
+                Value::obj([("id", Value::from(key.id.as_str())), ("state", Value::from(state))]),
             ));
         }
         queries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut by_client: HashMap<u64, Occupancy> = HashMap::new();
-        for key in self.top_k.keys() {
-            by_client.entry(key.client).or_default().live += 1;
-        }
-        for key in self.pending.keys() {
-            by_client.entry(key.client).or_default().waiting += 1;
-        }
-        let mut clients: Vec<(u64, Occupancy)> = by_client.into_iter().collect();
-        clients.sort_unstable_by_key(|(id, _)| *id);
+        let mut clients: Vec<u64> = self.queries.keys().map(|key| key.client).collect();
+        clients.sort_unstable();
+        clients.dedup();
         let clients: Vec<Value> = clients
             .into_iter()
-            .map(|(id, occ)| {
+            .map(|id| {
+                let occ = self.occupancy(id);
                 Value::obj([
                     ("client", Value::Int(id as i64)),
                     ("live", Value::Int(occ.live as i64)),
@@ -703,238 +707,209 @@ impl Daemon {
 
     /// Starts reporting an analysis job to `client` (deduplicated by job
     /// id — many queries, and many clients, can queue behind one job).
+    /// The job posts its start and its settlement to the loop.
     fn watch(&mut self, client: u64, service: &str, job: Job<Engine>) {
-        if let Some(watch) = self.watchers.iter_mut().find(|w| w.job.id() == job.id()) {
+        if let Some(watch) = self.watchers.get_mut(&job.id()) {
             if !watch.subscribers.contains(&client) {
                 watch.subscribers.push(client);
             }
             return;
         }
-        self.watchers.push(Watch {
-            service: service.to_string(),
-            job,
-            last: JobState::Queued,
-            subscribers: vec![client],
-        });
+        let id = job.id();
+        let post = Arc::clone(&self.post);
+        job.on_running(move || post(Note::Analysis(id, JobState::Running)));
+        let post = Arc::clone(&self.post);
+        job.on_terminal(move |outcome| post(Note::Analysis(id, outcome.state())));
+        let service = service.to_string();
+        self.watchers.insert(id, Watch { service, job, started: false, subscribers: vec![client] });
     }
 
-    /// Installs a live session under `key`: registers its cancel token in
-    /// the client's cancellation scope and starts pumping its events.
-    fn install_session(&mut self, key: QKey, cap: Option<usize>, session: Session) {
-        let ticket = self.scopes.register(key.client, session.cancel_token());
-        self.tickets.insert(key.clone(), ticket);
-        self.top_k.insert(key.clone(), cap);
-        if let Some(job) = session.job() {
-            self.jobs.insert(key.clone(), job.clone());
-        }
-        self.mux.push(key, session);
-    }
-
-    /// Forgets a settled query's client-scope registration.
-    fn release_ticket(&mut self, key: &QKey) {
-        if let Some(ticket) = self.tickets.remove(key) {
-            self.scopes.release(ticket);
-        }
-    }
-
-    /// A session (or submission error) delivered by an analysis-job
-    /// continuation: install it, or report the terminal error. Deliveries
-    /// for keys cancelled in the meantime are discarded.
-    pub(crate) fn install_submission(
+    /// Reports a watched analysis job's transition to `Running` or to a
+    /// terminal state, and stops watching it once settled. A job the
+    /// loop never saw start (it had settled before it was watched) gets
+    /// its `analysis_started` first, so clients always see a consistent
+    /// pair — unless it was cancelled before it ran.
+    fn analysis(
         &mut self,
-        sink: &mut impl Sink,
-        key: QKey,
-        submitted: Result<Session, EngineError>,
+        out: &mut impl Transport,
+        id: JobId,
+        state: &JobState,
     ) -> std::io::Result<()> {
-        let Some(cap) = self.pending.remove(&key) else {
-            // Cancelled (or shut down / disconnected) while waiting: the
-            // terminal event was already handled; reap the session.
-            if let Ok(session) = submitted {
-                session.cancel();
-            }
+        let Some(watch) = self.watchers.get_mut(&id) else {
             return Ok(());
         };
+        if !watch.started && *state != JobState::Cancelled {
+            watch.started = true;
+            let line = analysis_started_value(&watch.service, id);
+            broadcast(out, &mut self.summary, &watch.subscribers, &line)?;
+        }
+        let line = match state {
+            JobState::Queued | JobState::Running => return Ok(()),
+            JobState::Done => {
+                let info = self.catalog.inspect(&watch.service);
+                analysis_ready_value(&watch.service, id, info.as_ref())
+            }
+            JobState::Failed(msg) => analysis_failed_value(&watch.service, id, msg),
+            JobState::Cancelled => analysis_failed_value(&watch.service, id, "analysis cancelled"),
+        };
+        broadcast(out, &mut self.summary, &watch.subscribers, &line)?;
+        self.watchers.remove(&id);
+        Ok(())
+    }
+
+    /// An analysis-job continuation's delivery: the waiting query goes
+    /// live, or ends with the submission's error. A delivery whose token
+    /// is stale — the query was cancelled, its client left, or its id
+    /// was reused since — is cancelled and dropped.
+    fn deliver(
+        &mut self,
+        out: &mut impl Transport,
+        key: QKey,
+        token: u64,
+        submitted: Result<Session, EngineError>,
+    ) -> std::io::Result<()> {
+        let analysis = match self.queries.get(&key) {
+            Some(Query { token: t, stage: Stage::Waiting(job), .. }) if *t == token => *job,
+            // Dropping the stale session cancels it.
+            _ => return Ok(()),
+        };
+        // The analysis settled before its continuation ran: report that
+        // first, so the query's stream follows its `analysis_ready`.
+        if let Some(state) = self.watchers.get(&analysis).map(|w| w.job.state()) {
+            self.analysis(out, analysis, &state)?;
+        }
+        let query = self.queries.remove(&key).expect("the query is waiting");
         match submitted {
             Err(e) => {
                 self.summary.events += 1;
-                sink.emit(key.client, &error_event(&key.id, &e.to_string()))
+                out.emit(key.client, &error_event(&key.id, &e.to_string()))
             }
-            Ok(session) => {
-                self.install_session(key, cap, session);
-                Ok(())
-            }
+            Ok(session) => self.go_live(out, key, query.token, query.top_k, session),
         }
     }
 
-    /// Reports analysis-job transitions as `analysis_*` events to every
-    /// subscribed client; settles and drops watchers whose job reached a
-    /// terminal state. Returns whether anything was written.
-    pub(crate) fn pump_watchers(&mut self, sink: &mut impl Sink) -> std::io::Result<bool> {
-        let mut lines: Vec<(Vec<u64>, Value)> = Vec::new();
-        let Daemon { watchers, catalog, .. } = self;
-        watchers.retain_mut(|w| {
-            let state = w.job.state();
-            if state == w.last {
-                return true;
-            }
-            if state == JobState::Running {
-                lines.push((
-                    w.subscribers.clone(),
-                    analysis_started_value(&w.service, w.job.id()),
-                ));
-                w.last = state;
-                return true;
-            }
-            // Terminal. A job observed Queued → Done/Failed ran without
-            // the loop seeing it start; emit the start first so clients
-            // always see a consistent pair.
-            if w.last == JobState::Queued && !matches!(state, JobState::Cancelled) {
-                lines.push((
-                    w.subscribers.clone(),
-                    analysis_started_value(&w.service, w.job.id()),
-                ));
-            }
-            match &state {
-                JobState::Done => {
-                    let info = catalog.inspect(&w.service);
-                    lines.push((
-                        w.subscribers.clone(),
-                        analysis_ready_value(&w.service, w.job.id(), info.as_ref()),
-                    ));
-                }
-                JobState::Failed(msg) => {
-                    lines.push((
-                        w.subscribers.clone(),
-                        analysis_failed_value(&w.service, w.job.id(), msg),
-                    ));
-                }
-                JobState::Cancelled => {
-                    lines.push((
-                        w.subscribers.clone(),
-                        analysis_failed_value(&w.service, w.job.id(), "analysis cancelled"),
-                    ));
-                }
-                JobState::Queued | JobState::Running => unreachable!("terminal state"),
-            }
-            false
-        });
-        let progressed = !lines.is_empty();
-        for (subscribers, line) in lines {
-            self.summary.events += 1;
-            for client in subscribers {
-                sink.emit(client, &line)?;
-            }
-        }
-        Ok(progressed)
+    /// Puts `session` live under `key`: from now on its wake hook posts
+    /// to the loop, and whatever it buffered already streams right here,
+    /// in this message's place in the loop's order (the announcements
+    /// of those events then find nothing left to pull).
+    fn go_live(
+        &mut self,
+        out: &mut impl Transport,
+        key: QKey,
+        token: u64,
+        top_k: Option<usize>,
+        session: Session,
+    ) -> std::io::Result<()> {
+        let post = Arc::clone(&self.post);
+        let wake_key = key.clone();
+        session.set_wake_hook(move || post(Note::Woken(wake_key.clone(), token)));
+        self.queries.insert(key.clone(), Query { token, top_k, stage: Stage::Live(session) });
+        while self.pull(out, &key, token)? {}
+        Ok(())
     }
 
-    /// One round-robin sweep over live sessions; also closes out queries
-    /// whose worker died without a `Finished` event. Returns whether
-    /// anything was written.
-    pub(crate) fn pump_sessions(&mut self, sink: &mut impl Sink) -> std::io::Result<bool> {
-        if let Some((key, event)) = self.mux.poll() {
-            self.summary.events += 1;
-            let cap = self.top_k.get(&key).copied().flatten();
-            sink.emit(key.client, &event_value(&key.id, &event, cap))?;
-            if let Event::Finished(result) = &event {
-                // Fold the query's search cost into its service's
-                // `inspect` accumulation (the search job's label is the
-                // service name; catalog-less submissions have none).
-                if let Some(job) = self.jobs.remove(&key) {
-                    let service = job.label();
+    /// Answers one announcement of the live query `key`: streams its
+    /// session's next buffered event, or — when the worker died without
+    /// a `Finished` event (a panic) — closes the query out with the
+    /// settled job's reason, so the client stops waiting and the key
+    /// frees up. Returns whether it wrote a line. Announcements for a
+    /// query that has finished, or whose id was reused since, are stale.
+    fn pull(&mut self, out: &mut impl Transport, key: &QKey, token: u64) -> std::io::Result<bool> {
+        let Some(query) = self.queries.get_mut(key).filter(|q| q.token == token) else {
+            return Ok(false);
+        };
+        let Stage::Live(session) = &mut query.stage else {
+            return Ok(false);
+        };
+        let (line, done) = match session.try_next() {
+            Some(event) => {
+                if let Event::Finished(result) = &event {
+                    // Fold the query's search cost into its service's
+                    // `inspect` accumulation (the search job's label is
+                    // the service name).
+                    let service = session.job().map_or("", |job| job.label());
                     if !service.is_empty() {
+                        let search = &result.stats.search;
                         let t = self.search_totals.entry(service.to_string()).or_default();
                         t.queries += 1;
-                        t.nodes += result.stats.search.nodes;
-                        t.dead_hits += result.stats.search.dead_hits;
-                        t.dead_shared_hits += result.stats.search.dead_shared_hits;
-                        t.dead_misses += result.stats.search.dead_misses;
-                        t.dead_evicted += result.stats.search.dead_evicted;
+                        t.nodes += search.nodes;
+                        t.dead_hits += search.dead_hits;
+                        t.dead_shared_hits += search.dead_shared_hits;
+                        t.dead_misses += search.dead_misses;
+                        t.dead_evicted += search.dead_evicted;
                     }
                 }
-                self.top_k.remove(&key);
-                self.release_ticket(&key);
+                let done = matches!(event, Event::Finished(_));
+                (event_value(&key.id, &event, query.top_k), done)
             }
-            return Ok(true);
-        }
-        if self.top_k.len() > self.mux.len() {
-            // A session died without a Finished event (worker panic) and
-            // the multiplexer pruned it: close the query out with a
-            // terminal error event so the client stops waiting and the
-            // key frees up.
-            let mut live: Vec<QKey> = Vec::new();
-            self.mux.for_each_session(|tag, _| live.push(tag.clone()));
-            let dead: Vec<QKey> =
-                self.top_k.keys().filter(|key| !live.contains(key)).cloned().collect();
-            let progressed = !dead.is_empty();
-            for key in dead {
-                self.summary.events += 1;
-                self.top_k.remove(&key);
-                self.release_ticket(&key);
-                // The settled job carries the panic's message: close the
-                // query out with the structured reason.
-                let message = match self.jobs.remove(&key).map(|job| job.state()) {
-                    Some(JobState::Failed(reason)) => {
-                        format!("search worker panicked: {reason}")
-                    }
+            None if session.is_finished() => {
+                let message = match session.job_state() {
+                    Some(JobState::Failed(reason)) => format!("search worker panicked: {reason}"),
                     _ => "session worker terminated unexpectedly".to_string(),
                 };
-                sink.emit(key.client, &error_event(&key.id, &message))?;
+                (error_event(&key.id, &message), true)
             }
-            return Ok(progressed);
+            None => return Ok(false),
+        };
+        if done {
+            self.queries.remove(key);
         }
-        Ok(false)
+        self.summary.events += 1;
+        out.emit(key.client, &line)?;
+        Ok(true)
     }
 
-    /// Cancels everything: every running session, every watched analysis
-    /// job (queued ones settle as prompt no-ops), and every
-    /// analysis-queued query — the latter terminate immediately with the
-    /// returned client-tagged empty cancelled finishes. The loop then
-    /// drains: running sessions stream out their cancelled `Finished`,
-    /// running analyses complete and report, and the process exits only
-    /// when every in-flight key has had its terminal event.
-    pub(crate) fn cancel_all(&mut self) -> Vec<(u64, Value)> {
-        self.mux.for_each_session(|_, session| session.cancel());
-        for w in &self.watchers {
-            w.job.cancel();
+    /// Cancels everything: every live session, every watched analysis
+    /// job (queued ones settle as prompt no-ops), and every query still
+    /// waiting on an analysis — those terminate at once with an empty
+    /// cancelled finish. The loop then drains: live sessions stream out
+    /// their cancelled `Finished`, running analyses complete and report,
+    /// and the loop returns only when every in-flight key has had its
+    /// terminal event.
+    pub(crate) fn cancel_all(&mut self, out: &mut impl Transport) -> std::io::Result<()> {
+        for watch in self.watchers.values() {
+            watch.job.cancel();
         }
-        let mut waiting: Vec<QKey> = self.pending.drain().map(|(key, _)| key).collect();
+        let mut waiting = Vec::new();
+        self.queries.retain(|key, query| match &query.stage {
+            Stage::Live(session) => {
+                session.cancel();
+                true
+            }
+            Stage::Waiting(_) => {
+                waiting.push(key.clone());
+                false
+            }
+        });
         waiting.sort_by(|a, b| (a.client, &a.id).cmp(&(b.client, &b.id)));
-        let mut lines = Vec::new();
         for key in waiting {
             self.summary.events += 1;
-            lines.push((key.client, cancelled_finished_value(&key.id)));
+            out.emit(key.client, &cancelled_finished_value(&key.id))?;
         }
-        lines
+        Ok(())
     }
 
-    /// A client's connection is gone: cancel exactly that client's
-    /// running sessions (through its cancellation scope), discard its
-    /// analysis-queued queries, and unsubscribe it from analysis watches.
-    /// Other clients' work — including shared analysis jobs — is
-    /// untouched. Returns how many queries were cancelled or discarded.
-    pub(crate) fn drop_client(&mut self, client: u64) -> usize {
-        let cancelled = self.scopes.cancel_scope(client);
-        self.tickets.retain(|key, _| key.client != client);
-        let before = self.pending.len();
-        self.pending.retain(|key, _| key.client != client);
-        let discarded = before - self.pending.len();
-        for w in &mut self.watchers {
-            w.subscribers.retain(|&c| c != client);
-        }
+    /// A client's connection is gone: cancel exactly that client's live
+    /// sessions, forget its waiting queries, and unsubscribe it from
+    /// analysis reports. Other clients' work — including shared analysis
+    /// jobs — is untouched.
+    pub(crate) fn drop_client(&mut self, client: u64) {
+        self.queries.retain(|key, query| match &query.stage {
+            _ if key.client != client => true,
+            // The cancelled session drains through the loop (its lines
+            // go to a gone client, which the socket front end drops) and
+            // frees its key on `Finished`.
+            Stage::Live(session) => {
+                session.cancel();
+                true
+            }
+            Stage::Waiting(_) => false,
+        });
         // A watch every subscriber abandoned still has to settle before
         // the daemon can exit, but nobody needs its events; keep it so
-        // `is_idle` stays honest. The cancelled sessions drain through
-        // `pump_sessions` (their events go to a gone client — the socket
-        // sink drops them) and free their keys on `Finished`.
-        cancelled + discarded
+        // `is_idle` stays honest.
+        for watch in self.watchers.values_mut() {
+            watch.subscribers.retain(|&c| c != client);
+        }
     }
-}
-
-pub(crate) fn write_line(output: &mut impl Write, value: &Value) -> std::io::Result<()> {
-    let mut line = value.to_json();
-    debug_assert!(!line.contains('\n'), "response must be a single line");
-    line.push('\n');
-    output.write_all(line.as_bytes())?;
-    output.flush()
 }

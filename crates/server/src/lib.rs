@@ -13,8 +13,11 @@
 //! `Search` jobs submitted by the
 //! [`Scheduler`](apiphany_core::Scheduler), a service's analyze-once
 //! phase is an `Analysis` job, and the two kinds share the pool's slots
-//! fairly (mining can never occupy every slot). **The daemon loop never
-//! blocks**: a cold service's first query enqueues behind that service's
+//! fairly (mining can never occupy every slot). **One serving loop**
+//! blocks on one channel that every source of work posts to — input,
+//! analysis-job continuations and transitions, and each live session's
+//! wake hook — and handles messages in posting order. Nothing blocks
+//! it: a cold service's first query enqueues behind that service's
 //! analysis job and is submitted by the job's continuation the moment it
 //! settles, so warm queries keep streaming while a large service mines.
 //!
@@ -59,8 +62,9 @@
 //! `analysis_failed` event (failure or cancellation) is terminal for its
 //! service's job; a query cancelled while still queued behind an
 //! analysis terminates immediately with an empty cancelled `finished`.
-//! `shutdown` cancels queued jobs, drains running ones, and emits a
-//! terminal event for every in-flight id before the process exits.
+//! On stdin EOF the daemon lets every open stream finish; `shutdown`
+//! cancels queued jobs, drains running ones, and emits a terminal event
+//! for every in-flight id before the process exits.
 //!
 //! # Network serving
 //!
@@ -69,13 +73,15 @@
 //! [`apiphany_net`]), a `hello` frame on connect, per-client query-id
 //! namespaces, admission control with structured `overloaded` errors,
 //! and a graceful drain on SIGTERM or `shutdown` — see the
-//! [`netd`](run_net_daemon) docs.
+//! [`netd`](run_net_daemon) docs. Stdio and sockets are two front ends
+//! of the same loop; what differs between their protocols lives in the
+//! front ends.
 //!
 //! The binary lives in `src/bin/synthd.rs`
 //! (`cargo run --release --bin synthd -- --slots 4 --cache-dir .cache`,
 //! add `--listen unix:/tmp/synthd.sock` for socket serving);
-//! [`run_daemon`] is the embeddable stdio core, driven by integration
-//! tests over in-memory conversations.
+//! [`run_daemon`] is the embeddable stdio front end, driven by
+//! integration tests over in-memory conversations.
 
 mod daemon;
 mod netd;

@@ -1,7 +1,9 @@
 //! The socket front end: many framed connections over one daemon core.
 //!
-//! [`run_net_daemon`] turns the [`Daemon`](crate::daemon) core into a
-//! multi-client network daemon on an [`apiphany_net::NetServer`]:
+//! [`run_net_daemon`] serves the [`Daemon`](crate::daemon) core to many
+//! clients: it starts an [`apiphany_net::NetServer`] whose accept and
+//! reader threads post connects, frames and disconnects to the one
+//! serving loop, and this front end handles them there:
 //!
 //! * every accepted connection gets a `hello` frame announcing the
 //!   protocol version and this server's limits, then speaks the same ops
@@ -20,24 +22,33 @@
 //!   `shutdown` op stops accepting, announces `draining` to every
 //!   client, lets in-flight work finish until the deadline, then cancels
 //!   the rest — every acked query id still receives exactly one terminal
-//!   event before the loop returns.
+//!   event before the loop returns. A signal handler can only set an
+//!   atomic, so the loop checks that latch every [`LATCH_CHECK`] until
+//!   the drain starts; the drain deadline is its only other timed
+//!   wake-up.
 
 use std::collections::HashSet;
+use std::io;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use apiphany_core::telemetry::Counter;
+use apiphany_core::telemetry::{Counter, Gauge};
 use apiphany_core::Telemetry;
 use apiphany_json::Value;
 use apiphany_net::{
-    check_version, ClientId, DisconnectReason, FrameError, NetEvent, NetServer, TermFlag,
-    PROTOCOL_VERSION,
+    check_version, ClientId, DisconnectReason, EventSink, Listener, NetConfig, NetEvent, NetServer,
+    TermFlag, PROTOCOL_VERSION,
 };
 
-use crate::daemon::{Daemon, DaemonOptions, DaemonSummary, Sink};
+use crate::daemon::{serve, Daemon, DaemonOptions, DaemonSummary, Msg, Transport};
 use crate::proto::{
     coded_error_response, ok_response, Request, CODE_BAD_VERSION, CODE_DRAINING, CODE_OVERLOADED,
     CODE_PARSE_ERROR, CODE_UNAUTHORIZED,
 };
+
+/// How often the loop checks the SIGTERM/SIGINT latch until a drain
+/// starts.
+const LATCH_CHECK: Duration = Duration::from_millis(50);
 
 /// Configuration of the socket front end.
 #[derive(Debug, Clone)]
@@ -84,7 +95,7 @@ impl Default for NetOptions {
 }
 
 /// What a finished network daemon run processed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NetSummary {
     /// The daemon core's request/event counts.
     pub daemon: DaemonSummary,
@@ -95,23 +106,6 @@ pub struct NetSummary {
     /// Connections the transport cut for not keeping up (write deadline
     /// exceeded, or outbound queue overflow).
     pub stalled: usize,
-}
-
-/// Routes each protocol line to its client's connection. A send to a
-/// client that disconnected mid-stream is dropped silently — the
-/// disconnect event (which cancels that client's work) is already in
-/// flight.
-struct NetSink<'a> {
-    server: &'a NetServer,
-    frames_out: Counter,
-}
-
-impl Sink for NetSink<'_> {
-    fn emit(&mut self, client: u64, value: &Value) -> std::io::Result<()> {
-        self.frames_out.inc();
-        let _ = self.server.send(apiphany_net::ClientId(client), value);
-        Ok(())
-    }
 }
 
 /// The `hello` frame sent on connect: protocol version, server identity,
@@ -140,311 +134,269 @@ fn draining_value(grace: Duration) -> Value {
     ])
 }
 
-/// Runs the network daemon over an already-started [`NetServer`] until a
-/// drain (SIGTERM through `term`, or a `shutdown` op) completes. See the
-/// module docs for the serving semantics.
+/// Runs the network daemon: starts a [`NetServer`] on `listeners` with
+/// `cfg`, wired to the serving loop, and serves until a drain (SIGTERM
+/// through `term`, or a `shutdown` op) completes. See the module docs
+/// for the serving semantics.
 ///
 /// # Errors
 ///
 /// Returns the first fatal I/O error of the serving loop (individual
 /// client connections failing is not one).
+///
+/// # Panics
+///
+/// Panics when `listeners` is empty.
 pub fn run_net_daemon(
-    mut server: NetServer,
+    listeners: Vec<Listener>,
+    cfg: NetConfig,
     opts: &NetOptions,
     term: &TermFlag,
-) -> std::io::Result<NetSummary> {
-    let (mut daemon, done_rx) = Daemon::new(&opts.daemon);
-    let telemetry = daemon.telemetry().clone();
-    let frames_in = telemetry.counter("net.frames_in");
-    let frames_out = telemetry.counter("net.frames_out");
-    let stalled_counter = telemetry.counter("net.stalled");
-    let outbox_gauge = telemetry.gauge("net.outbox_high_water");
-    let mut clients = 0usize;
-    let mut shed = 0usize;
-    let mut stalled = 0usize;
-    let mut authed: HashSet<u64> = HashSet::new();
-    let mut draining = false;
-    let mut drain_deadline: Option<Instant> = None;
-    let mut cancelled_rest = false;
-
-    loop {
-        let mut progressed = false;
-
-        // 1. Transport events: connects, frames, decode errors, drops.
-        while let Some(event) = server.try_recv() {
-            progressed = true;
-            match event {
-                NetEvent::Connected(client) => {
-                    clients += 1;
-                    frames_out.inc();
-                    server.send(client, &hello_value(opts));
-                    if draining {
-                        frames_out.inc();
-                        server.send(client, &draining_value(opts.drain_grace));
-                    }
-                }
-                NetEvent::BadFrame(client, err) => {
-                    daemon.summary.requests += 1;
-                    frames_in.inc();
-                    if reject_unauthorized(&server, opts, &telemetry, &frames_out, &authed, client)
-                    {
-                        continue;
-                    }
-                    let code = match err {
-                        FrameError::Oversize { .. } => CODE_PARSE_ERROR,
-                        FrameError::Malformed(_) => CODE_PARSE_ERROR,
-                    };
-                    frames_out.inc();
-                    server.send(
-                        client,
-                        &coded_error_response(None, None, code, &err.to_string()),
-                    );
-                }
-                NetEvent::Disconnected(client, reason) => {
-                    if matches!(
-                        reason,
-                        DisconnectReason::WriteStalled | DisconnectReason::QueueOverflow
-                    ) {
-                        stalled += 1;
-                        stalled_counter.inc();
-                    }
-                    telemetry.record(
-                        "net.disconnect",
-                        [("client", client.0.to_string()), ("reason", reason.name().to_string())],
-                    );
-                    authed.remove(&client.0);
-                    daemon.drop_client(client.0);
-                }
-                NetEvent::Request(client, msg) => {
-                    daemon.summary.requests += 1;
-                    frames_in.inc();
-                    if let Some(token) = &opts.auth_token {
-                        if !authed.contains(&client.0) {
-                            if msg.get("auth").and_then(Value::as_str) == Some(token.as_str()) {
-                                authed.insert(client.0);
-                            } else {
-                                reject_unauthorized(
-                                    &server,
-                                    opts,
-                                    &telemetry,
-                                    &frames_out,
-                                    &authed,
-                                    client,
-                                );
-                                continue;
-                            }
-                        }
-                    }
-                    let replies = handle_frame(
-                        &mut daemon,
-                        opts,
-                        &telemetry,
-                        client.0,
-                        &msg,
-                        &mut draining,
-                        &mut shed,
-                    );
-                    for reply in replies {
-                        frames_out.inc();
-                        server.send(client, &reply);
-                    }
-                    if draining && drain_deadline.is_none() {
-                        // The shutdown op just started the drain.
-                        start_drain(&mut server, opts, &frames_out, &mut drain_deadline);
-                    }
-                }
-            }
-        }
-
-        // 2. A delivered SIGTERM/SIGINT starts the drain.
-        if term.is_raised() && !draining {
-            draining = true;
-            start_drain(&mut server, opts, &frames_out, &mut drain_deadline);
-            progressed = true;
-        }
-
-        let mut sink = NetSink { server: &server, frames_out: frames_out.clone() };
-        // 3. Sessions delivered by analysis-job continuations.
-        if let Ok((key, submitted)) = done_rx.try_recv() {
-            progressed = true;
-            daemon.install_submission(&mut sink, key, submitted)?;
-        }
-        // 4. Analysis transitions and session events.
-        progressed |= daemon.pump_watchers(&mut sink)?;
-        progressed |= daemon.pump_sessions(&mut sink)?;
-
-        // 5. Drain bookkeeping: past the grace deadline, cancel whatever
-        // is still in flight (each key gets its terminal event); exit
-        // once every stream has drained.
-        if draining {
-            if !cancelled_rest
-                && drain_deadline.is_some_and(|deadline| Instant::now() >= deadline)
-            {
-                cancelled_rest = true;
-                progressed = true;
-                for (client, line) in daemon.cancel_all() {
-                    sink.emit(client, &line)?;
-                }
-            }
-            if daemon.is_idle() {
-                break;
-            }
-        }
-
-        outbox_gauge.set(server.outbox_high_water().min(i64::MAX as usize) as i64);
-
-        if !progressed {
-            std::thread::sleep(Duration::from_micros(500));
-        }
-    }
-
+) -> io::Result<NetSummary> {
+    let (mut daemon, tx, rx) = Daemon::new(&opts.daemon);
+    let post: EventSink = Arc::new(move |event| tx.send(Msg::Input(event)).is_ok());
+    let telemetry = opts.daemon.telemetry.clone();
+    let mut front = Net {
+        server: NetServer::start(listeners, cfg, post),
+        opts,
+        term,
+        frames_in: telemetry.counter("net.frames_in"),
+        frames_out: telemetry.counter("net.frames_out"),
+        outbox_gauge: telemetry.gauge("net.outbox_high_water"),
+        telemetry,
+        authed: HashSet::new(),
+        drain: Drain::Serving,
+        summary: NetSummary::default(),
+    };
+    serve(&mut daemon, &mut front, &rx)?;
     // Streams are drained; drop every remaining connection and return.
-    server.close_all();
+    front.server.close_all();
     // A run that tripped injected faults dumps the flight recorder so the
     // post-mortem (which jobs were affected, in what order) is on stderr
     // even when the process is about to exit.
     if opts.daemon.fault.fired() > 0 {
-        telemetry.dump_to_stderr("drain");
+        front.telemetry.dump_to_stderr("drain");
     }
-    Ok(NetSummary { daemon: daemon.summary, clients, shed, stalled })
+    Ok(NetSummary { daemon: daemon.summary, ..front.summary })
 }
 
-/// Sends `unauthorized` and drops the connection if `client` has not
-/// presented the shared secret; returns whether it did so. A no-op
-/// (returning `false`) when authentication is disabled.
-fn reject_unauthorized(
-    server: &NetServer,
-    opts: &NetOptions,
-    telemetry: &Telemetry,
-    frames_out: &Counter,
-    authed: &HashSet<u64>,
-    client: ClientId,
-) -> bool {
-    if opts.auth_token.is_none() || authed.contains(&client.0) {
-        return false;
+/// Where a drain stands.
+enum Drain {
+    Serving,
+    /// Draining; in-flight work runs on until this deadline.
+    Grace(Instant),
+    /// Draining; whatever was still in flight at the deadline has been
+    /// cancelled.
+    Cancelled,
+}
+
+/// The socket front end: a `hello` on connect, a `"v"` on every request,
+/// shared-secret auth, per-client quotas and a global backlog limit, and
+/// a drain with a grace period. Lines for a client that is gone are
+/// dropped — its disconnect, which cancels its work, is already posted.
+struct Net<'a> {
+    server: NetServer,
+    opts: &'a NetOptions,
+    term: &'a TermFlag,
+    telemetry: Telemetry,
+    frames_in: Counter,
+    /// Frames actually enqueued for a live client.
+    frames_out: Counter,
+    outbox_gauge: Gauge,
+    authed: HashSet<u64>,
+    drain: Drain,
+    /// The transport's counts (the daemon core keeps its own).
+    summary: NetSummary,
+}
+
+impl Transport for Net<'_> {
+    type Input = NetEvent;
+
+    fn emit(&mut self, client: u64, value: &Value) -> io::Result<()> {
+        if self.server.send(ClientId(client), value) {
+            self.frames_out.inc();
+        }
+        Ok(())
     }
-    telemetry.record(
-        "net.admission",
-        [("client", client.0.to_string()), ("decision", CODE_UNAUTHORIZED.to_string())],
-    );
-    frames_out.inc();
-    server.send(
-        client,
-        &coded_error_response(
+
+    fn input(&mut self, daemon: &mut Daemon, event: NetEvent) -> io::Result<()> {
+        match event {
+            NetEvent::Connected(client) => {
+                self.summary.clients += 1;
+                self.emit(client.0, &hello_value(self.opts))?;
+                if self.closing() {
+                    self.emit(client.0, &draining_value(self.opts.drain_grace))?;
+                }
+                Ok(())
+            }
+            NetEvent::BadFrame(client, err) => {
+                daemon.summary.requests += 1;
+                self.frames_in.inc();
+                if self.reject_unauthorized(client) {
+                    return Ok(());
+                }
+                let reply = coded_error_response(None, None, CODE_PARSE_ERROR, &err.to_string());
+                self.emit(client.0, &reply)
+            }
+            NetEvent::Disconnected(client, reason) => {
+                if matches!(
+                    reason,
+                    DisconnectReason::WriteStalled | DisconnectReason::QueueOverflow
+                ) {
+                    self.summary.stalled += 1;
+                    self.telemetry.counter("net.stalled").inc();
+                }
+                self.telemetry.record(
+                    "net.disconnect",
+                    [("client", client.0.to_string()), ("reason", reason.name().to_string())],
+                );
+                self.authed.remove(&client.0);
+                daemon.drop_client(client.0);
+                Ok(())
+            }
+            NetEvent::Request(client, msg) => {
+                daemon.summary.requests += 1;
+                self.frames_in.inc();
+                if let Some(token) = &self.opts.auth_token {
+                    if msg.get("auth").and_then(Value::as_str) == Some(token.as_str()) {
+                        self.authed.insert(client.0);
+                    }
+                }
+                if self.reject_unauthorized(client) {
+                    return Ok(());
+                }
+                self.handle_frame(daemon, client.0, &msg)
+            }
+        }
+    }
+
+    fn closing(&self) -> bool {
+        !matches!(self.drain, Drain::Serving)
+    }
+
+    fn tick(&mut self, daemon: &mut Daemon) -> io::Result<Option<Instant>> {
+        self.outbox_gauge.set(self.server.outbox_high_water().min(i64::MAX as usize) as i64);
+        match self.drain {
+            // A delivered SIGTERM/SIGINT starts the drain.
+            Drain::Serving if self.term.is_raised() => self.start_drain()?,
+            Drain::Serving => return Ok(Some(Instant::now() + LATCH_CHECK)),
+            // Past the grace deadline, cancel whatever is still in flight
+            // (each key gets its terminal event).
+            Drain::Grace(deadline) if Instant::now() >= deadline => {
+                self.drain = Drain::Cancelled;
+                daemon.cancel_all(self)?;
+            }
+            Drain::Grace(_) | Drain::Cancelled => {}
+        }
+        Ok(match self.drain {
+            Drain::Grace(deadline) => Some(deadline),
+            _ => None,
+        })
+    }
+}
+
+impl Net<'_> {
+    /// Sends `unauthorized` and drops the connection if `client` has not
+    /// presented the shared secret; returns whether it did so. A no-op
+    /// (returning `false`) when authentication is disabled.
+    fn reject_unauthorized(&mut self, client: ClientId) -> bool {
+        if self.opts.auth_token.is_none() || self.authed.contains(&client.0) {
+            return false;
+        }
+        self.telemetry.record(
+            "net.admission",
+            [("client", client.0.to_string()), ("decision", CODE_UNAUTHORIZED.to_string())],
+        );
+        let refusal = coded_error_response(
             None,
             None,
             CODE_UNAUTHORIZED,
             "authentication required: first frame must carry a valid \"auth\" token",
-        ),
-    );
-    server.close_after_flush(client);
-    true
-}
-
-/// Stops accepting and announces the drain to every connected client.
-fn start_drain(
-    server: &mut NetServer,
-    opts: &NetOptions,
-    frames_out: &Counter,
-    deadline: &mut Option<Instant>,
-) {
-    server.stop_accepting();
-    *deadline = Some(Instant::now() + opts.drain_grace);
-    let notice = draining_value(opts.drain_grace);
-    for client in server.client_ids() {
-        frames_out.inc();
-        server.send(client, &notice);
-    }
-}
-
-/// Decodes and executes one framed request: version check, parse,
-/// admission control, then the shared daemon core. Returns the reply
-/// lines for this client.
-fn handle_frame(
-    daemon: &mut Daemon,
-    opts: &NetOptions,
-    telemetry: &Telemetry,
-    client: u64,
-    msg: &Value,
-    draining: &mut bool,
-    shed: &mut usize,
-) -> Vec<Value> {
-    // One shed query: bump the counters, log the admission decision in
-    // the flight recorder, and build the structured refusal.
-    let shed_query = |shed: &mut usize, id: &str, code: &str, message: String| {
-        *shed += 1;
-        telemetry.counter("net.shed").inc();
-        telemetry.record(
-            "net.admission",
-            [
-                ("client", client.to_string()),
-                ("id", id.to_string()),
-                ("decision", code.to_string()),
-            ],
         );
-        vec![coded_error_response(Some("query"), Some(id), code, &message)]
-    };
-    if let Err(message) = check_version(msg) {
-        return vec![coded_error_response(None, None, CODE_BAD_VERSION, &message)];
+        let _ = self.emit(client.0, &refusal);
+        self.server.close_after_flush(client);
+        true
     }
-    let request = match Request::from_value(msg) {
-        Err(message) => {
-            return vec![coded_error_response(None, None, CODE_PARSE_ERROR, &message)];
+
+    /// Stops accepting and announces the drain to every connected client.
+    fn start_drain(&mut self) -> io::Result<()> {
+        self.server.stop_accepting();
+        self.drain = Drain::Grace(Instant::now() + self.opts.drain_grace);
+        let notice = draining_value(self.opts.drain_grace);
+        for client in self.server.client_ids() {
+            self.emit(client.0, &notice)?;
         }
-        Ok(request) => request,
-    };
-    match request {
-        Request::Shutdown => {
-            *draining = true;
-            vec![ok_response("shutdown", [])]
+        Ok(())
+    }
+
+    /// One shed query: bump the counters, log the admission decision in
+    /// the flight recorder, and send the structured refusal.
+    fn shed_query(&mut self, client: u64, id: &str, code: &str, message: &str) -> io::Result<()> {
+        self.summary.shed += 1;
+        self.telemetry.counter("net.shed").inc();
+        self.telemetry.record(
+            "net.admission",
+            [("client", client.to_string()), ("id", id.into()), ("decision", code.into())],
+        );
+        self.emit(client, &coded_error_response(Some("query"), Some(id), code, message))
+    }
+
+    /// Decodes and executes one framed request: version check, parse,
+    /// admission control, then the shared daemon core.
+    fn handle_frame(&mut self, daemon: &mut Daemon, client: u64, msg: &Value) -> io::Result<()> {
+        if let Err(message) = check_version(msg) {
+            return self
+                .emit(client, &coded_error_response(None, None, CODE_BAD_VERSION, &message));
         }
-        Request::Query { id, spec } => {
-            if *draining {
-                return shed_query(
-                    shed,
-                    &id,
-                    CODE_DRAINING,
-                    "daemon is draining for shutdown; no new queries".to_string(),
-                );
+        let request = match Request::from_value(msg) {
+            Err(message) => {
+                let reply = coded_error_response(None, None, CODE_PARSE_ERROR, &message);
+                return self.emit(client, &reply);
             }
-            let occupancy = daemon.occupancy(client);
-            if occupancy.live >= opts.max_client_live {
-                return shed_query(
-                    shed,
-                    &id,
-                    CODE_OVERLOADED,
-                    format!(
+            Ok(request) => request,
+        };
+        match request {
+            Request::Shutdown => {
+                self.emit(client, &ok_response("shutdown", []))?;
+                if self.closing() {
+                    return Ok(());
+                }
+                self.start_drain()
+            }
+            Request::Query { id, .. } if self.closing() => self.shed_query(
+                client,
+                &id,
+                CODE_DRAINING,
+                "daemon is draining for shutdown; no new queries",
+            ),
+            Request::Query { id, spec } => {
+                let occupancy = daemon.occupancy(client);
+                let backlog = daemon.queued_search();
+                let refusal = if occupancy.live >= self.opts.max_client_live {
+                    Some(format!(
                         "client has {} live queries (limit {}); retry after one finishes",
-                        occupancy.live, opts.max_client_live
-                    ),
-                );
-            }
-            if occupancy.waiting >= opts.max_client_waiting {
-                return shed_query(
-                    shed,
-                    &id,
-                    CODE_OVERLOADED,
-                    format!(
+                        occupancy.live, self.opts.max_client_live
+                    ))
+                } else if occupancy.waiting >= self.opts.max_client_waiting {
+                    Some(format!(
                         "client has {} queries waiting on analyses (limit {})",
-                        occupancy.waiting, opts.max_client_waiting
-                    ),
-                );
-            }
-            let backlog = daemon.queued_search();
-            if backlog >= opts.search_high_water {
-                return shed_query(
-                    shed,
-                    &id,
-                    CODE_OVERLOADED,
-                    format!(
+                        occupancy.waiting, self.opts.max_client_waiting
+                    ))
+                } else if backlog >= self.opts.search_high_water {
+                    Some(format!(
                         "search backlog at high water ({backlog} queued, limit {}); \
                          retry after the backlog drains",
-                        opts.search_high_water
-                    ),
-                );
+                        self.opts.search_high_water
+                    ))
+                } else {
+                    None
+                };
+                match refusal {
+                    Some(message) => self.shed_query(client, &id, CODE_OVERLOADED, &message),
+                    None => daemon.handle(self, client, Request::Query { id, spec }),
+                }
             }
-            daemon.handle(client, Request::Query { id, spec })
+            other => daemon.handle(self, client, other),
         }
-        other => daemon.handle(client, other),
     }
 }

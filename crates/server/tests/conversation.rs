@@ -2,26 +2,11 @@
 //! loop is driven exactly as the binary drives it, minus the process
 //! boundary.
 
-use std::io::Cursor;
+mod common;
 
-use apiphany_json::{parse, Value};
-use apiphany_server::{run_daemon, DaemonOptions};
-
-/// Runs a scripted conversation and returns the parsed response lines.
-fn converse(script: &str, opts: &DaemonOptions) -> Vec<Value> {
-    let input = Cursor::new(script.to_string().into_bytes());
-    let mut output = Vec::new();
-    run_daemon(input, &mut output, opts).expect("daemon i/o is in-memory");
-    String::from_utf8(output)
-        .expect("responses are UTF-8")
-        .lines()
-        .map(|line| parse(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}")))
-        .collect()
-}
-
-fn str_field<'a>(v: &'a Value, key: &str) -> &'a str {
-    v.get(key).and_then(Value::as_str).unwrap_or("")
-}
+use apiphany_json::Value;
+use apiphany_server::DaemonOptions;
+use common::{converse, dedicated_run, event_stream, str_field};
 
 #[test]
 fn register_query_stream_and_finish() {
@@ -503,4 +488,30 @@ fn finished_events_carry_search_stats() {
     for key in ["dead_hits", "dead_shared_hits", "dead_misses", "dead_evicted"] {
         assert!(search.get(key).and_then(Value::as_int).is_some(), "missing {key}");
     }
+}
+
+/// A query id reused after a cancel streams its own query, never the one
+/// it replaced. Both `q` submissions queue behind `demo`'s analysis,
+/// which cannot run before `b` frees the only slot, and `cancel b` is the
+/// last line: the first `q`'s delivery always arrives first, so a daemon
+/// matching deliveries by id alone hands it to the second `q`.
+#[test]
+fn a_reused_query_id_streams_its_own_query() {
+    let channels = r#"{"op":"query","id":"q","service":"demo","output":"[Channel]","depth":5}"#;
+    let script = [
+        r#"{"op":"register","service":"demo","builtin":"fig7"}"#,
+        r#"{"op":"register","service":"blk","builtin":"fig7","prewarm":true}"#,
+        r#"{"op":"query","id":"b","service":"blk","inputs":{"channel_name":"Channel.name"},"output":"[Profile.email]","depth":12}"#,
+        r#"{"op":"query","id":"q","service":"demo","inputs":{"channel_name":"Channel.name"},"output":"[Profile.email]","depth":7}"#,
+        r#"{"op":"cancel","id":"q"}"#,
+        channels,
+        r#"{"op":"cancel","id":"b"}"#,
+    ];
+    let lines = dedicated_run(&(script.join("\n") + "\n"), 1);
+    let second_ack = lines
+        .iter()
+        .rposition(|l| str_field(l, "op") == "query" && str_field(l, "id") == "q")
+        .expect("the second q is acked");
+    let reference = dedicated_run(&format!("{}\n{channels}\n", script[0]), 1);
+    assert_eq!(event_stream(&lines[second_ack..], "q"), event_stream(&reference, "q"));
 }

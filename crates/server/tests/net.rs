@@ -11,7 +11,9 @@
 //! control shedding with `overloaded` and recovering, and a graceful
 //! drain that terminates every in-flight id before exit.
 
-use std::io::{Cursor, Write};
+mod common;
+
+use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread;
@@ -19,58 +21,12 @@ use std::time::{Duration, Instant};
 
 use apiphany_json::{parse, Value};
 use apiphany_net::{
-    read_frame, write_frame, ListenAddr, Listener, NetConfig, NetServer, Stream, TermFlag,
-    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    read_frame, write_frame, ListenAddr, Listener, NetConfig, Stream, TermFlag, DEFAULT_MAX_FRAME,
+    PROTOCOL_VERSION,
 };
-use apiphany_server::{run_daemon, run_net_daemon, DaemonOptions, NetOptions, NetSummary};
+use apiphany_server::{run_net_daemon, DaemonOptions, NetOptions, NetSummary};
+use common::{dedicated_run, event_stream, str_field};
 use proptest::prelude::*;
-
-/// Wall-clock fields differ between any two runs of anything; everything
-/// else in an event must match bit-for-bit.
-const TIMING_FIELDS: [&str; 4] = ["elapsed_ms", "total_ms", "re_ms", "analyze_ms"];
-
-fn strip_timing(v: &Value) -> Value {
-    if let Some(pairs) = v.as_object() {
-        return Value::obj(
-            pairs
-                .iter()
-                .filter(|(k, _)| !TIMING_FIELDS.contains(&k.as_str()))
-                .map(|(k, val)| (k.clone(), strip_timing(val))),
-        );
-    }
-    if let Some(items) = v.as_array() {
-        return Value::arr(items.iter().map(strip_timing));
-    }
-    v.clone()
-}
-
-fn str_field<'a>(v: &'a Value, key: &str) -> &'a str {
-    v.get(key).and_then(Value::as_str).unwrap_or("")
-}
-
-/// The semantic fingerprint of one query's event stream: the events
-/// tagged with `id`, timing stripped, serialized.
-fn event_stream(lines: &[Value], id: &str) -> Vec<String> {
-    lines
-        .iter()
-        .filter(|l| str_field(l, "id") == id && !str_field(l, "event").is_empty())
-        .map(|l| strip_timing(l).to_json())
-        .collect()
-}
-
-/// The reference: the same script through the stdio daemon core (what a
-/// dedicated single-client run produces).
-fn dedicated_run(script: &str, slots: usize) -> Vec<Value> {
-    let input = Cursor::new(script.to_string().into_bytes());
-    let mut output = Vec::new();
-    let opts = DaemonOptions { slots, ..DaemonOptions::default() };
-    run_daemon(input, &mut output, &opts).expect("stdio daemon i/o is in-memory");
-    String::from_utf8(output)
-        .expect("responses are UTF-8")
-        .lines()
-        .map(|line| parse(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}")))
-        .collect()
-}
 
 static NEXT_SOCKET: AtomicUsize = AtomicUsize::new(0);
 
@@ -102,10 +58,10 @@ impl TestServer {
             queue_cap: 16_384,
             ..NetConfig::default()
         };
-        let server = NetServer::start_with(vec![listener], cfg);
         let term = TermFlag::new();
         let term_server = term.clone();
-        let handle = thread::spawn(move || run_net_daemon(server, &opts, &term_server));
+        let handle =
+            thread::spawn(move || run_net_daemon(vec![listener], cfg, &opts, &term_server));
         TestServer { addr, term, handle }
     }
 

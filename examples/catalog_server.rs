@@ -1,14 +1,14 @@
 //! Serving quickstart: one `JobRuntime` under a `ServiceCatalog` and a
 //! `Scheduler`, so analyze-once phases and synthesis sessions schedule
-//! through the same two-lane pool; a round-robin `Multiplexer`
-//! interleaves the event streams — the same building blocks the `synthd`
-//! daemon wires to stdin/stdout.
+//! through the same two-lane pool; one thread consumes every stream by
+//! blocking on a single channel that the sessions' wake hooks post to —
+//! the same building blocks the `synthd` serving loop is made of.
 //!
 //! Run with: `cargo run --release --example catalog_server`
 
-use apiphany_repro::core::{
-    Event, JobRuntime, Multiplexer, QuerySpec, Scheduler, ServiceCatalog,
-};
+use std::sync::mpsc;
+
+use apiphany_repro::core::{Event, JobRuntime, QuerySpec, Scheduler, ServiceCatalog};
 use apiphany_repro::services::Square;
 use apiphany_repro::spec::fixtures::{fig4_witnesses, fig7_library};
 use apiphany_repro::spec::Service;
@@ -73,19 +73,29 @@ fn main() {
         ),
     ];
 
-    let mut mux = Multiplexer::new();
-    for (tag, spec) in &queries {
+    // Each session's wake hook posts its index once per buffered event
+    // (events buffered before the hook went in are posted at once).
+    let (wake, woken) = mpsc::channel();
+    let mut sessions = Vec::new();
+    for (i, (tag, spec)) in queries.iter().enumerate() {
         let session = scheduler
             .submit_catalog(&catalog, spec)
             .expect("service registered and types resolve");
-        mux.push(*tag, session);
+        let post = wake.clone();
+        session.set_wake_hook(move || {
+            let _ = post.send(i);
+        });
+        sessions.push(session);
         println!("submitted {tag}: {}", spec.to_text());
     }
 
     // Events of both sessions interleave, tagged; each session's own
     // stream is identical to a dedicated Engine::session run.
-    while let Some((tag, event)) = mux.next_event() {
-        match event {
+    let mut live = sessions.len();
+    while live > 0 {
+        let i = woken.recv().expect("a live session announces its events");
+        let tag = queries[i].0;
+        match sessions[i].try_next().expect("an announced event is buffered") {
             Event::CandidateFound { r_orig, r_re_now, cost, .. } => {
                 println!("[{tag}] candidate #{r_orig} (cost {cost:.0}, RE rank now {r_re_now})");
             }
@@ -94,6 +104,7 @@ fn main() {
             }
             Event::BudgetExhausted => println!("[{tag}] budget exhausted"),
             Event::Finished(result) => {
+                live -= 1;
                 println!(
                     "[{tag}] finished: {} candidates in {:.1?}",
                     result.ranked.len(),

@@ -83,7 +83,7 @@ fn evict_of_a_queued_analysis_cancels_promptly() {
     let scheduler = Scheduler::with_runtime(runtime.clone());
 
     // Occupy the only slot: a deep search whose events nobody pulls (the
-    // worker parks on its rendezvous send, holding the slot).
+    // worker parks on its full event buffer, holding the slot).
     let blocker_engine =
         apiphany_repro::core::Engine::from_witnesses(fig7_library(), fig4_witnesses());
     let blocker_spec = QuerySpec::output("[Profile.email]")

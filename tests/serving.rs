@@ -10,9 +10,10 @@
 //! (`elapsed`, `re_time`, `total_time`) are excluded — they differ
 //! between any two runs of anything.
 
-use apiphany_repro::core::{
-    Budget, Engine, Event, Multiplexer, QuerySpec, Scheduler, ServiceCatalog,
-};
+use std::sync::mpsc;
+use std::time::Duration;
+
+use apiphany_repro::core::{Budget, Engine, Event, QuerySpec, Scheduler, ServiceCatalog};
 use apiphany_repro::spec::fixtures::{fig4_witnesses, fig7_library};
 use proptest::prelude::*;
 
@@ -120,9 +121,10 @@ proptest! {
         let mut live = sessions.len();
         while live > 0 {
             // Pick a random live session and poll it non-blockingly. (A
-            // *blocking* pull would deadlock under oversubscription: a
+            // *blocking* pull could deadlock under oversubscription: a
             // queued session starts only after a running one finishes,
-            // and the running ones advance only when pulled.)
+            // and a running one with a full event buffer waits to be
+            // pulled.)
             let pick = rng.below(sessions.len());
             let Some(session) = sessions[pick].as_mut() else {
                 std::thread::yield_now();
@@ -144,8 +146,9 @@ proptest! {
         }
     }
 
-    /// Round-robin multiplexing over an oversubscribed scheduler delivers
-    /// every stream intact, whatever the slot count.
+    /// A consumer blocked on one channel fed by the sessions' wake hooks
+    /// drains an oversubscribed scheduler with every stream intact,
+    /// whatever the slot count.
     #[test]
     fn oversubscribed_multiplexer_preserves_streams(
         slots in 1usize..4,
@@ -156,12 +159,25 @@ proptest! {
         let spec = email_spec("demo");
         let reference = stream_of(&engine.open(&spec).unwrap().collect::<Vec<_>>());
         let scheduler = Scheduler::new(slots);
-        let mut mux = Multiplexer::new();
+        let (wake, woken) = mpsc::channel();
+        let mut sessions = Vec::new();
         for id in 0..n_sessions {
-            mux.push(id, scheduler.submit_catalog(&catalog, &spec).unwrap());
+            let session = scheduler.submit_catalog(&catalog, &spec).unwrap();
+            let post = wake.clone();
+            session.set_wake_hook(move || {
+                let _ = post.send(id);
+            });
+            sessions.push(Some(session));
         }
         let mut streams: Vec<Vec<String>> = (0..n_sessions).map(|_| Vec::new()).collect();
-        while let Some((id, event)) = mux.next_event() {
+        while sessions.iter().any(Option::is_some) {
+            // A lost wakeup fails here instead of hanging the test.
+            let id = woken.recv_timeout(Duration::from_secs(60)).expect("lost wakeup");
+            let session = sessions[id].as_mut().expect("no announcement after Finished");
+            let event = session.try_next().expect("an announced event is buffered");
+            if matches!(event, Event::Finished(_)) {
+                sessions[id] = None;
+            }
             streams[id].push(fingerprint(&event));
         }
         for stream in &streams {
