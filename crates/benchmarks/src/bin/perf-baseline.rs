@@ -25,8 +25,10 @@
 //! Results are written as JSON (default `BENCH_pr10.json`, the
 //! `BENCH_pr9.json` schema plus `node_parity` and `dead_shared_hits`).
 //!
-//! Flags: `--smoke` (tiny configuration for CI), `--max-len N`,
-//! `--threads 2,4,8`, `--out PATH`.
+//! Flags: `--smoke` (small configuration for CI: search depth 10, two
+//! threads), `--max-len N` (search depth, default 12; the easy suite runs
+//! at `min(N, 6)`), `--threads 2,4,8`, `--out PATH`. Each search run also
+//! reports `bound_pruned`, the cuts made by the cost-to-go bound.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -122,6 +124,7 @@ fn search_run_json(run: &SearchRun, serial: Option<&SearchRun>) -> Value {
         ("wall_secs".to_string(), Value::Float(run.wall.as_secs_f64())),
         ("paths".to_string(), Value::Int(run.paths as i64)),
         ("nodes".to_string(), Value::Int(run.stats.nodes as i64)),
+        ("bound_pruned".to_string(), Value::Int(run.stats.bound_pruned as i64)),
         ("dead_hits".to_string(), Value::Int(run.stats.dead_hits as i64)),
         ("dead_shared_hits".to_string(), Value::Int(run.stats.dead_shared_hits as i64)),
         ("dead_misses".to_string(), Value::Int(run.stats.dead_misses as i64)),
@@ -176,9 +179,12 @@ fn main() {
         args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
     };
     let smoke = has("--smoke");
+    // Deep enough that the search phase still loads the worker team once
+    // the cost-to-go bound has cut the tree: ~10^5 nodes at depth 10
+    // (smoke), ~4.5 × 10^6 at depth 12.
     let max_len: usize = opt("--max-len")
         .and_then(|s| s.parse().ok())
-        .unwrap_or(if smoke { 5 } else { 6 });
+        .unwrap_or(if smoke { 10 } else { 12 });
     let thread_counts: Vec<usize> = opt("--threads")
         .map(|s| s.split(',').filter_map(|t| t.trim().parse().ok()).collect())
         .unwrap_or_else(|| if smoke { vec![2] } else { vec![2, 4, 8] });

@@ -36,12 +36,14 @@ use apiphany_core::{
     CatalogSubmission, Engine, EngineError, Event, FaultPlane, Job, JobId, JobRuntime, JobState,
     RetryPolicy, Scheduler, ServiceCatalog, ServiceLookup, Session, Telemetry,
 };
+use apiphany_core::ttn::SearchStats;
 use apiphany_json::Value;
 
 use crate::proto::{
     analysis_failed_value, analysis_ready_value, analysis_started_value, cancelled_finished_value,
     coded_error_response, error_event, error_response, event_value, job_value, lint_fields,
-    ok_response, service_info_value, Request, RegisterSource, CODE_PARSE_ERROR,
+    ok_response, search_stats_fields, service_info_value, Request, RegisterSource,
+    CODE_PARSE_ERROR,
 };
 
 /// Configuration of one daemon run.
@@ -98,16 +100,12 @@ pub(crate) struct QKey {
 }
 
 /// Per-service accumulated search cost across finished queries (the
-/// `inspect` reply's `search` block — the dead-set counters the paper's
+/// `inspect` reply's `search` block — the pruning counters the paper's
 /// §5.2 pruning ablation reads).
 #[derive(Debug, Clone, Copy, Default)]
 struct SearchTotals {
     queries: u64,
-    nodes: u64,
-    dead_hits: u64,
-    dead_shared_hits: u64,
-    dead_misses: u64,
-    dead_evicted: u64,
+    search: SearchStats,
 }
 
 /// Per-client occupancy: how much of the daemon a client is using (the
@@ -570,17 +568,14 @@ impl Daemon {
                 Some(info) => {
                     let mut fields = vec![("service", service_info_value(&info))];
                     if let Some(t) = self.search_totals.get(&service) {
-                        let count = |n: u64| Value::Int(n.min(i64::MAX as u64) as i64);
+                        let queries = Value::Int(t.queries.min(i64::MAX as u64) as i64);
                         fields.push((
                             "search",
-                            Value::obj([
-                                ("queries", count(t.queries)),
-                                ("nodes", count(t.nodes)),
-                                ("dead_hits", count(t.dead_hits)),
-                                ("dead_shared_hits", count(t.dead_shared_hits)),
-                                ("dead_misses", count(t.dead_misses)),
-                                ("dead_evicted", count(t.dead_evicted)),
-                            ]),
+                            Value::obj(
+                                [("queries", queries)]
+                                    .into_iter()
+                                    .chain(search_stats_fields(&t.search)),
+                            ),
                         ));
                     }
                     out.emit(client, &ok_response(op, fields))
@@ -829,14 +824,9 @@ impl Daemon {
                     // the service name).
                     let service = session.job().map_or("", |job| job.label());
                     if !service.is_empty() {
-                        let search = &result.stats.search;
                         let t = self.search_totals.entry(service.to_string()).or_default();
                         t.queries += 1;
-                        t.nodes += search.nodes;
-                        t.dead_hits += search.dead_hits;
-                        t.dead_shared_hits += search.dead_shared_hits;
-                        t.dead_misses += search.dead_misses;
-                        t.dead_evicted += search.dead_evicted;
+                        t.search.absorb(&result.stats.search);
                     }
                 }
                 let done = matches!(event, Event::Finished(_));

@@ -457,17 +457,27 @@ fn finished_value(id: &str, result: &RunResult, top_k: Option<usize>) -> Value {
     )
 }
 
-/// The dead-set/search-cost block of a `finished` event and of
-/// `inspect`'s per-service accumulation: node count plus the dead-set
-/// memo's hit/miss/evict counters.
+/// The search-cost block of a `finished` event and (after a `queries`
+/// count) of `inspect`'s per-service accumulation: node count, the
+/// cost-to-go bound's cuts, and the dead-set memo's hit/miss/evict
+/// counters.
 pub fn search_stats_value(stats: &apiphany_core::ttn::SearchStats) -> Value {
-    Value::obj([
-        ("nodes", Value::Int(stats.nodes.min(i64::MAX as u64) as i64)),
-        ("dead_hits", Value::Int(stats.dead_hits.min(i64::MAX as u64) as i64)),
-        ("dead_shared_hits", Value::Int(stats.dead_shared_hits.min(i64::MAX as u64) as i64)),
-        ("dead_misses", Value::Int(stats.dead_misses.min(i64::MAX as u64) as i64)),
-        ("dead_evicted", Value::Int(stats.dead_evicted.min(i64::MAX as u64) as i64)),
-    ])
+    Value::obj(search_stats_fields(stats))
+}
+
+/// The fields of [`search_stats_value`], for blocks that add their own.
+pub(crate) fn search_stats_fields(
+    stats: &apiphany_core::ttn::SearchStats,
+) -> [(&'static str, Value); 6] {
+    let count = |n: u64| Value::Int(n.min(i64::MAX as u64) as i64);
+    [
+        ("nodes", count(stats.nodes)),
+        ("bound_pruned", count(stats.bound_pruned)),
+        ("dead_hits", count(stats.dead_hits)),
+        ("dead_shared_hits", count(stats.dead_shared_hits)),
+        ("dead_misses", count(stats.dead_misses)),
+        ("dead_evicted", count(stats.dead_evicted)),
+    ]
 }
 
 /// The one definition of the `finished` wire shape, shared by real run

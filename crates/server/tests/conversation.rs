@@ -485,7 +485,7 @@ fn finished_events_carry_search_stats() {
         .expect("finished event");
     let search = finished.get("search").expect("search stats block");
     assert!(search.get("nodes").and_then(Value::as_int).unwrap_or(0) > 0);
-    for key in ["dead_hits", "dead_shared_hits", "dead_misses", "dead_evicted"] {
+    for key in ["bound_pruned", "dead_hits", "dead_shared_hits", "dead_misses", "dead_evicted"] {
         assert!(search.get(key).and_then(Value::as_int).is_some(), "missing {key}");
     }
 }

@@ -341,13 +341,19 @@ mod tests {
     #[test]
     fn concurrent_probes_and_inserts_never_false_positive() {
         use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        const READERS: usize = 3;
         let set = SharedDeadSet::new(1 << 14);
         let done = AtomicBool::new(false);
+        // Every thread starts together, so no reader can first look at
+        // `done` after the writer has already finished.
+        let start = Barrier::new(READERS + 1);
         std::thread::scope(|scope| {
             // Writers hammer inserts (forcing rotations) while readers
             // probe keys that are never inserted: a hit would be a
             // soundness bug (false dead verdict).
             scope.spawn(|| {
+                start.wait();
                 for round in 0u64..60 {
                     for k in 0u64..2000 {
                         let key = (u128::from(round * 2000 + k) << 64) | 0x2_0000;
@@ -356,16 +362,21 @@ mod tests {
                 }
                 done.store(true, Ordering::Release);
             });
-            for _ in 0..3 {
+            for _ in 0..READERS {
                 scope.spawn(|| {
+                    start.wait();
                     let mut probes = 0u64;
-                    while !done.load(Ordering::Acquire) {
+                    // At least one probe round, however fast the writer.
+                    loop {
                         for k in 0u64..500 {
                             // Same hi-word population, different lo bits:
                             // never inserted, must never hit.
                             let key = (u128::from(k) << 64) | 0x3_0000;
                             assert_eq!(set.probe(key, 0), Probe::Miss);
                             probes += 1;
+                        }
+                        if done.load(Ordering::Acquire) {
+                            break;
                         }
                     }
                     assert!(probes > 0);

@@ -2,12 +2,37 @@
 //!
 //! The paper enumerates all valid paths of increasing length with an ILP
 //! solver (Gurobi). This reproduction searches with a direct depth-first
-//! enumerator over markings, with token-count pruning and dead-state
-//! memoization: for every length `L = 1, 2, ...` it yields every firing
-//! sequence that moves the initial marking `I` exactly to the final
-//! marking `F` (one token at the output type, nothing anywhere else).
-//! The paper's 0-1 ILP encoding (Appendix B.2) survives in [`crate::ilp`]
-//! as the test oracle this search is checked against.
+//! enumerator over markings: for every length `L = 1, 2, ...` it yields
+//! every firing sequence that moves the initial marking `I` exactly to
+//! the final marking `F` (one token at the output type, nothing anywhere
+//! else). The paper's 0-1 ILP encoding (Appendix B.2) survives in
+//! [`crate::ilp`] as the test oracle this search is checked against.
+//!
+//! # Pruning
+//!
+//! The first three rules below only ever skip subtrees that hold no
+//! path, so they never change the emitted stream; the fourth only skips
+//! reorderings of a path it keeps. A brute-force reference enumerator
+//! with the same symmetry rule and none of the others pins the stream,
+//! order included (`crates/ttn/tests/proptest_solvers.rs`):
+//!
+//! - **Token-count window.** A firing changes the token total by a
+//!   bounded amount, so a node whose total cannot reach `|F|` in the
+//!   remaining firings is cut.
+//! - **Backward cost-to-go.** Every token must end as a final token or be
+//!   consumed, and consuming it fires a transition whose output tokens
+//!   each need their own later chain. A per-place lower bound on that
+//!   chain (a fixpoint over the net, computed once per
+//!   [`enumerate_search`] call against `F`) cuts a node when some marked
+//!   place's bound exceeds the remaining length, and skips a firing
+//!   whose outputs already exceed its child's budget before it is
+//!   applied. On the Table 2 nets this is what makes depth 6 and beyond
+//!   tractable: it removes almost every subtree that holds a token the
+//!   remaining firings can never consume.
+//! - **Dead-state memo.** Subtrees proven path-free are remembered by
+//!   `(marking, remaining)` (see *Parallel search*).
+//! - **Symmetry breaking.** Consecutive no-input firings commute, so only
+//!   their nondecreasing-id order is explored (see `Dfs::expand`).
 //!
 //! # Parallel search
 //!
@@ -56,10 +81,14 @@ use apiphany_spec::CancelToken;
 use apiphany_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use crate::dead::{Probe, SharedDeadSet};
 use crate::marking::{apply, can_fire, unapply, Firing, Marking};
-use crate::net::{PlaceId, TransId, Ttn};
+use crate::net::{PlaceId, TransId, Transition, Ttn};
 use crate::pool::{team_scope, Team};
 
 /// Search configuration.
+///
+/// The pruning bounds (see the module docs) have no knob: they never
+/// change the emitted stream, so they are always on. Only the dead-set's
+/// size is configurable ([`SearchConfig::dead_set_cap`]).
 #[derive(Debug, Clone)]
 pub struct SearchConfig {
     /// Maximum path length for iterative deepening.
@@ -90,9 +119,10 @@ pub struct SearchConfig {
     /// [`SearchStats`].
     pub dead_set_cap: usize,
     /// Observability plane the search reports into: counters
-    /// `search.nodes` / `search.paths` / `search.dead_hits` /
-    /// `search.dead_shared_hits` / `search.dead_misses` /
-    /// `search.dead_evicted`, the `search.dead_set_entries` occupancy
+    /// `search.nodes` / `search.paths` / `search.bound_pruned` /
+    /// `search.dead_hits` / `search.dead_shared_hits` /
+    /// `search.dead_misses` / `search.dead_evicted`, the
+    /// `search.dead_set_entries` occupancy
     /// gauge, plus the per-level
     /// `search.depth_us` wall-time histogram. Flushed once per
     /// iterative-deepening level, so the hot DFS loop keeps its plain
@@ -141,6 +171,10 @@ pub struct SearchStats {
     pub nodes: u64,
     /// Paths emitted (including any the consumer rejected).
     pub paths: u64,
+    /// Cuts made by the backward cost-to-go bound (see the module docs):
+    /// firings skipped before they were applied, plus visited nodes cut
+    /// because a marked place's bound exceeded the remaining length.
+    pub bound_pruned: u64,
     /// Dead-set lookups that pruned a subtree.
     pub dead_hits: u64,
     /// The subset of [`SearchStats::dead_hits`] whose verdict was
@@ -160,9 +194,11 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    fn absorb(&mut self, other: &SearchStats) {
+    /// Adds `other`'s counters into these.
+    pub fn absorb(&mut self, other: &SearchStats) {
         self.nodes += other.nodes;
         self.paths += other.paths;
+        self.bound_pruned += other.bound_pruned;
         self.dead_hits += other.dead_hits;
         self.dead_shared_hits += other.dead_shared_hits;
         self.dead_misses += other.dead_misses;
@@ -177,6 +213,7 @@ impl SearchStats {
 struct LevelMetrics {
     nodes: Counter,
     paths: Counter,
+    bound_pruned: Counter,
     dead_hits: Counter,
     dead_shared_hits: Counter,
     dead_misses: Counter,
@@ -195,6 +232,7 @@ impl LevelMetrics {
         LevelMetrics {
             nodes: telemetry.counter("search.nodes"),
             paths: telemetry.counter("search.paths"),
+            bound_pruned: telemetry.counter("search.bound_pruned"),
             dead_hits: telemetry.counter("search.dead_hits"),
             dead_shared_hits: telemetry.counter("search.dead_shared_hits"),
             dead_misses: telemetry.counter("search.dead_misses"),
@@ -208,6 +246,7 @@ impl LevelMetrics {
     fn flush(&mut self, stats: &SearchStats, dead: &SharedDeadSet) {
         self.nodes.add(stats.nodes - self.reported.nodes);
         self.paths.add(stats.paths - self.reported.paths);
+        self.bound_pruned.add(stats.bound_pruned - self.reported.bound_pruned);
         self.dead_hits.add(stats.dead_hits - self.reported.dead_hits);
         self.dead_shared_hits
             .add(stats.dead_shared_hits - self.reported.dead_shared_hits);
@@ -469,6 +508,46 @@ fn token_bounds(net: &Ttn) -> TokenBounds {
     TokenBounds { max_inc, max_dec }
 }
 
+/// The backward cost-to-go of every place against the final marking
+/// `fin`: a lower bound on the firings that can turn a token there into a
+/// final token or consume it. `0` at the places `fin` marks; elsewhere the
+/// minimum, over the transitions consuming the place as a required or an
+/// optional input, of `1 + ` the largest cost over that transition's
+/// outputs (`1` for a transition with no outputs); `u32::MAX` when no
+/// chain exists. Iterated to a fixpoint, Bellman–Ford style.
+///
+/// Admissible: a token off `fin` must be consumed by some firing, and
+/// each output token of that firing then needs its own chain of later
+/// firings, so no path finishes from a marking with a token whose cost
+/// exceeds the remaining length.
+fn cost_to_go(net: &Ttn, fin: &Marking) -> Vec<u32> {
+    let mut cost = vec![u32::MAX; net.n_places()];
+    for (p, _) in fin.nonzero() {
+        cost[p.0 as usize] = 0;
+    }
+    loop {
+        let mut changed = false;
+        for (_, t) in net.transitions() {
+            let via = output_cost(&cost, t).saturating_add(1);
+            for &(p, _) in t.inputs.iter().chain(&t.optionals) {
+                let slot = &mut cost[p.0 as usize];
+                if via < *slot {
+                    *slot = via;
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            return cost;
+        }
+    }
+}
+
+/// The largest `cost` over `t`'s outputs (`0` when it has none).
+fn output_cost(cost: &[u32], t: &Transition) -> u32 {
+    t.outputs.iter().map(|&(p, _)| cost[p.0 as usize]).max().unwrap_or(0)
+}
+
 /// Read-only per-search indexes, built once per [`enumerate_search`] call
 /// and shared by every level and every worker.
 struct NetIndex {
@@ -484,6 +563,13 @@ struct NetIndex {
     delta: Vec<i64>,
     bounds: TokenBounds,
     fin_total: i64,
+    /// Per place: the fewest firings that can turn a token there into a
+    /// final token or consume it (`u32::MAX` when no chain exists). See
+    /// [`cost_to_go`].
+    cost_to_go: Vec<u32>,
+    /// Per transition: the largest [`NetIndex::cost_to_go`] over its
+    /// outputs — the fewest firings still needed after it fires.
+    out_cost: Vec<u32>,
 }
 
 impl NetIndex {
@@ -500,13 +586,24 @@ impl NetIndex {
             let prod: i64 = t.outputs.iter().map(|&(_, c)| i64::from(c)).sum();
             delta.push(prod - cons);
         }
+        let cost_to_go = cost_to_go(net, fin);
+        let out_cost = net.transitions().map(|(_, t)| output_cost(&cost_to_go, t)).collect();
         NetIndex {
             zero_required,
             by_first_input,
             delta,
             bounds: token_bounds(net),
             fin_total: i64::from(fin.total()),
+            cost_to_go,
+            out_cost,
         }
+    }
+
+    /// The child-side cost-to-go verdict: can every token of `m` still
+    /// reach a final token or be consumed within `remaining` firings?
+    #[inline]
+    fn within_cost_to_go(&self, m: &Marking, remaining: usize) -> bool {
+        m.nonzero().all(|(p, _)| self.cost_to_go[p.0 as usize] as usize <= remaining)
     }
 
     /// The child-side token-count verdict, computed parent-side: would a
@@ -766,6 +863,13 @@ impl<'a> Dfs<'a> {
         {
             return Flow::Pruned;
         }
+        // Backward cost-to-go: some token can no longer reach a final
+        // token or be consumed in time. The verdict depends only on the
+        // state, so ancestors may still enter the dead-set.
+        if !self.index.within_cost_to_go(m, remaining) {
+            self.stats.bound_pruned += 1;
+            return Flow::Pruned;
+        }
         let key = m.dead_key(remaining);
         if self.dead.enabled() {
             match self.dead.probe(key, self.me) {
@@ -859,6 +963,14 @@ impl<'a> Dfs<'a> {
                         continue;
                     }
                 }
+            }
+            // Parent-side cost-to-go: the firing's own outputs cannot
+            // finish in the child's budget, so the child's cost-to-go
+            // check would cut it under every optional choice — skip the
+            // odometer, apply/undo and recursion altogether.
+            if self.index.out_cost[tid.0 as usize] as usize > remaining - 1 {
+                self.stats.bound_pruned += 1;
+                continue;
             }
             // Optional-consumption bounds: 0 ..= min(cap, avail) per
             // optional place, after required consumption (the overlap is
@@ -1312,6 +1424,64 @@ mod tests {
         assert!(started.elapsed() < std::time::Duration::from_secs(30));
     }
 
+    /// The backward cost-to-go along the Fig. 2 chain: each firing's
+    /// output needs the rest of the chain, except that a `Channel` takes
+    /// the Fig. 5 `creator` shortcut (4 firings, not 5). A place nothing
+    /// consumes has no chain at all, and neither does a firing into it.
+    #[test]
+    fn cost_to_go_pins_the_fig2_chain() {
+        use apiphany_spec::SemTy;
+        use crate::net::TransKind;
+
+        let (mut net, init, fin) = setup();
+        let trans = |net: &Ttn, label: &str| {
+            net.transitions()
+                .map(|(id, _)| id)
+                .find(|&id| net.transition_label(id) == label)
+                .expect("Fig. 7 transition")
+        };
+        let chain = [
+            ("c_list", 4),
+            ("filter_Channel.name", 4),
+            ("proj_Channel.id", 4),
+            ("c_members", 3),
+            ("u_info", 2),
+            ("proj_User.profile", 1),
+            ("proj_Profile.email", 0),
+        ];
+        let check_chain = |net: &Ttn, index: &NetIndex| {
+            for (label, want) in chain {
+                let id = trans(net, label);
+                assert_eq!(index.out_cost[id.0 as usize], want, "{label}");
+                let (out, _) = net.transition(id).outputs[0];
+                assert_eq!(index.cost_to_go[out.0 as usize], want, "output of {label}");
+            }
+        };
+        let index = NetIndex::new(&net, &fin);
+        check_chain(&net, &index);
+        // The query's `Channel.name` input: the filter, then a `Channel`.
+        let (input, _) = init.nonzero().next().expect("one input token");
+        assert_eq!(index.cost_to_go[input.0 as usize], 5);
+
+        let channel = net.place_of(&SemTy::object("Channel")).expect("Channel place");
+        let orphan = net.intern_place(SemTy::object("Orphan"));
+        let into_orphan = net.add_transition(Transition {
+            kind: TransKind::Method("orphan".into()),
+            inputs: vec![(channel, 1)],
+            optionals: Vec::new(),
+            outputs: vec![(orphan, 1)],
+            params: Vec::new(),
+        });
+        let mut wide_fin = Marking::empty(net.n_places());
+        for (p, c) in fin.nonzero() {
+            wide_fin.add(p, c);
+        }
+        let index = NetIndex::new(&net, &wide_fin);
+        assert_eq!(index.cost_to_go[orphan.0 as usize], u32::MAX);
+        assert_eq!(index.out_cost[into_orphan.0 as usize], u32::MAX);
+        check_chain(&net, &index);
+    }
+
     /// Soundness regression for dead-state memoization: pruning must only
     /// ever skip path-free subtrees, so enumeration with the memo
     /// disabled (`dead_set_cap: 0`) yields exactly the same paths.
@@ -1395,6 +1565,12 @@ mod tests {
         }
     }
 
+    /// Fig. 7 depth for the dead-set tests below. The cost-to-go bound
+    /// leaves about a hundred nodes at depth 7, too few to evict from a
+    /// tiny memo or to share verdicts reliably; depth 10 keeps the
+    /// dead-set under load (214 paths).
+    const DEAD_SET_DEPTH: usize = 10;
+
     /// The shared dead-set actually shares: a parallel search reports
     /// verdict reuse across workers (`dead_shared_hits > 0` — e.g. the
     /// coordinator's shallow levels prove facts the pool workers then
@@ -1403,7 +1579,7 @@ mod tests {
     fn parallel_search_shares_dead_verdicts_across_workers() {
         let (net, init, fin) = setup();
         let run = |threads: usize| {
-            let cfg = SearchConfig { max_len: 7, threads, ..SearchConfig::default() };
+            let cfg = SearchConfig { max_len: DEAD_SET_DEPTH, threads, ..SearchConfig::default() };
             enumerate_search(&net, &init, &fin, &cfg, &CancelToken::new(), &mut |_| true)
         };
         let serial = run(1);
@@ -1422,7 +1598,7 @@ mod tests {
         let (net, init, fin) = setup();
         let collect = |cap: usize, threads: usize| {
             let cfg = SearchConfig {
-                max_len: 7,
+                max_len: DEAD_SET_DEPTH,
                 dead_set_cap: cap,
                 threads,
                 ..SearchConfig::default()
@@ -1449,11 +1625,12 @@ mod tests {
     #[test]
     fn stats_count_nodes_paths_and_dead_set_traffic() {
         let (net, init, fin) = setup();
-        let cfg = SearchConfig { max_len: 7, ..SearchConfig::default() };
+        let cfg = SearchConfig { max_len: DEAD_SET_DEPTH, ..SearchConfig::default() };
         let report = enumerate_search(&net, &init, &fin, &cfg, &CancelToken::new(), &mut |_| true);
         assert_eq!(report.outcome, SearchOutcome::Exhausted);
-        assert_eq!(report.stats.paths, 2);
+        assert_eq!(report.stats.paths, 214);
         assert!(report.stats.nodes > 0);
+        assert!(report.stats.bound_pruned > 0, "{:?}", report.stats);
         assert!(report.stats.dead_hits > 0, "{:?}", report.stats);
         assert!(report.stats.dead_misses > 0);
         assert_eq!(report.stats.dead_evicted, 0);
@@ -1466,7 +1643,11 @@ mod tests {
     fn tiny_dead_set_cap_evicts_epochs_without_changing_output() {
         let (net, init, fin) = setup();
         let collect = |cap: usize| {
-            let cfg = SearchConfig { max_len: 7, dead_set_cap: cap, ..SearchConfig::default() };
+            let cfg = SearchConfig {
+                max_len: DEAD_SET_DEPTH,
+                dead_set_cap: cap,
+                ..SearchConfig::default()
+            };
             let mut paths: Vec<Vec<Firing>> = Vec::new();
             let report = enumerate_search(&net, &init, &fin, &cfg, &CancelToken::new(), &mut |e| {
                 if let SearchEvent::Path(p) = e {
@@ -1479,7 +1660,7 @@ mod tests {
         let (tiny_paths, tiny) = collect(4);
         let (full_paths, full) = collect(2_000_000);
         assert_eq!(tiny.outcome, SearchOutcome::Exhausted);
-        assert_eq!(tiny.stats.paths, 2);
+        assert_eq!(tiny.stats.paths, 214);
         assert!(tiny.stats.dead_evicted > 0, "{:?}", tiny.stats);
         assert_eq!(full.stats.dead_evicted, 0);
         assert_eq!(tiny_paths, full_paths);
@@ -1520,6 +1701,7 @@ mod tests {
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("search.nodes"), Some(report.stats.nodes));
         assert_eq!(snap.counter("search.paths"), Some(report.stats.paths));
+        assert_eq!(snap.counter("search.bound_pruned"), Some(report.stats.bound_pruned));
         assert_eq!(snap.counter("search.dead_hits"), Some(report.stats.dead_hits));
         assert_eq!(
             snap.counter("search.dead_shared_hits"),

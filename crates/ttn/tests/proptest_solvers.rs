@@ -1,22 +1,31 @@
-//! Differential property tests: the DFS enumerator and the ILP
-//! branch-and-bound oracle must agree on every random small net.
+//! Differential property tests: the DFS enumerator must agree with the
+//! ILP branch-and-bound oracle and with an unpruned reference enumerator
+//! on every random small net.
+
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use apiphany_spec::{GroupId, SemTy};
 use apiphany_ttn::ilp::enumerate_ilp_paths;
 use apiphany_ttn::{
-    enumerate_paths, Firing, Marking, PlaceId, SearchConfig, TransKind, Transition, Ttn,
+    apply, can_fire, enumerate_paths, Firing, Marking, PlaceId, SearchConfig, TransKind,
+    Transition, Ttn,
 };
 use proptest::prelude::*;
 
-/// A random small net over `n_places` group places: each transition
-/// consumes up to two places and produces one, with an optional optional
-/// edge thrown in.
+/// A random small net over `n_places` group places. Each transition
+/// consumes up to two places, maybe takes an optional edge, and produces
+/// one of four output shapes: one token, a copy (its required place back
+/// twice), two tokens at two places, or nothing (a sink). The last place
+/// is never a required input, so it is consumed only through optional
+/// edges.
 fn arb_net(n_places: usize, n_trans: usize) -> impl Strategy<Value = Ttn> {
     let trans = prop::collection::vec(
         (
-            prop::collection::vec(0..n_places, 0..=2), // required inputs
-            prop::option::of(0..n_places),             // optional input
-            0..n_places,                               // output
+            prop::collection::vec(0..n_places - 1, 0..=2), // required inputs
+            prop::option::of(0..n_places),                 // optional input
+            0..n_places,                                   // output
+            0..n_places,                                   // second output
+            0..6u8,                                        // output shape
         ),
         1..=n_trans,
     );
@@ -25,7 +34,7 @@ fn arb_net(n_places: usize, n_trans: usize) -> impl Strategy<Value = Ttn> {
         let places: Vec<PlaceId> = (0..n_places)
             .map(|i| net.intern_place(SemTy::Group(GroupId(i as u32))))
             .collect();
-        for (i, (inputs, optional, output)) in specs.into_iter().enumerate() {
+        for (i, (inputs, optional, output, second, shape)) in specs.into_iter().enumerate() {
             let mut required: Vec<(PlaceId, u32)> = Vec::new();
             for p in inputs {
                 if let Some(slot) = required.iter_mut().find(|(q, _)| *q == places[p]) {
@@ -35,11 +44,29 @@ fn arb_net(n_places: usize, n_trans: usize) -> impl Strategy<Value = Ttn> {
                 }
             }
             required.sort();
+            let outputs = match shape {
+                // A sink. One with no inputs would be a no-op, so it
+                // consumes its output place instead (or the place below,
+                // keeping the last place optional-only).
+                0 => {
+                    if required.is_empty() {
+                        required.push((places[output.min(n_places - 2)], 1));
+                    }
+                    Vec::new()
+                }
+                // A copy: one token of a required place in, two out.
+                1 => match required.first() {
+                    Some(&(p, _)) => vec![(p, 2)],
+                    None => vec![(places[output], 1)],
+                },
+                2 if output != second => vec![(places[output], 1), (places[second], 1)],
+                _ => vec![(places[output], 1)],
+            };
             net.add_transition(Transition {
                 kind: TransKind::Method(format!("m{i}")),
                 inputs: required,
                 optionals: optional.map(|p| (places[p], 1)).into_iter().collect(),
-                outputs: vec![(places[output], 1)],
+                outputs,
                 params: Vec::new(),
             });
         }
@@ -253,4 +280,142 @@ proptest! {
             prop_assert_eq!(end, fin.clone());
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(ORACLE_CASES))]
+
+    /// The pruned DFS against the unpruned reference: at every thread
+    /// count, [`enumerate_search`](apiphany_ttn::enumerate_search) emits
+    /// exactly [`reference_paths`]'s sequence, order included, on random
+    /// nets with copies, sinks, optional-only places and one- or
+    /// two-token final markings. The token window, the dead-set and the
+    /// cost-to-go bound may only ever skip path-free subtrees.
+    #[test]
+    fn pruned_dfs_matches_the_unpruned_reference(
+        net in arb_net(5, 6),
+        init_tokens in prop::collection::vec(0..5usize, 0..=3),
+        walk in prop::collection::vec(0..64usize, 1..=5),
+        fin_tokens in prop::collection::vec(0..5usize, 1..=2),
+        max_len in 1..=5usize,
+    ) {
+        use apiphany_ttn::{enumerate_search, CancelToken, SearchEvent, SearchOutcome};
+
+        let mut init = Marking::empty(net.n_places());
+        for p in init_tokens {
+            init.add(PlaceId(p as u32), 1);
+        }
+        // The final marking is where a random walk of at most `max_len`
+        // firings from `init` ends, so most cases have paths; when the
+        // walk ends on zero or more than two tokens, a random one- or
+        // two-token marking instead.
+        let mut fin = init.clone();
+        for &pick in walk.iter().take(max_len) {
+            let enabled: Vec<_> =
+                net.transitions().filter(|(_, t)| can_fire(&fin, t)).map(|(id, _)| id).collect();
+            if enabled.is_empty() {
+                break;
+            }
+            apply(&mut fin, &net, &Firing::plain(enabled[pick % enabled.len()]));
+        }
+        if !(1..=2).contains(&fin.total()) {
+            fin = Marking::empty(net.n_places());
+            for p in fin_tokens {
+                fin.add(PlaceId(p as u32), 1);
+            }
+        }
+        let reference = reference_paths(&net, &init, &fin, max_len);
+        for threads in [1usize, 2, 4] {
+            let cfg = SearchConfig { max_len, threads, ..SearchConfig::default() };
+            let mut paths: Vec<Vec<Firing>> = Vec::new();
+            let report =
+                enumerate_search(&net, &init, &fin, &cfg, &CancelToken::new(), &mut |e| {
+                    if let SearchEvent::Path(p) = e {
+                        paths.push(p.to_vec());
+                    }
+                    true
+                });
+            prop_assert_eq!(report.outcome, SearchOutcome::Exhausted);
+            prop_assert_eq!(&paths, &reference);
+            if threads == 1 {
+                ORACLE_BOUND_PRUNED.fetch_add(report.stats.bound_pruned, Ordering::Relaxed);
+            }
+        }
+        // Not vacuous: over all cases, the bound must have cut something.
+        if ORACLE_CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == ORACLE_CASES {
+            prop_assert!(ORACLE_BOUND_PRUNED.load(Ordering::Relaxed) > 0);
+        }
+    }
+}
+
+/// Cases of [`pruned_dfs_matches_the_unpruned_reference`], and what its
+/// serial runs' `bound_pruned` counters sum to so far.
+const ORACLE_CASES: u32 = 128;
+static ORACLE_CASES_RUN: AtomicU32 = AtomicU32::new(0);
+static ORACLE_BOUND_PRUNED: AtomicU64 = AtomicU64::new(0);
+
+/// Every path from `init` to `fin` of length `1..=max_len`, in the DFS's
+/// emission order, by brute force: lengths in increasing order, then
+/// transitions in id order with the same zero-required symmetry rule,
+/// optional-consumption odometer and canonical [`Firing`]s as the DFS,
+/// but no token window, dead-set or cost-to-go bound.
+fn reference_paths(net: &Ttn, init: &Marking, fin: &Marking, max_len: usize) -> Vec<Vec<Firing>> {
+    fn walk(
+        net: &Ttn,
+        m: &Marking,
+        fin: &Marking,
+        remaining: usize,
+        path: &mut Vec<Firing>,
+        out: &mut Vec<Vec<Firing>>,
+    ) {
+        if remaining == 0 {
+            if m == fin {
+                out.push(path.clone());
+            }
+            return;
+        }
+        // Consecutive zero-required plain firings commute: only their
+        // nondecreasing-id order is a path.
+        let prev_zero_required = path
+            .last()
+            .filter(|f| net.transition(f.trans).inputs.is_empty() && f.optional_taken.is_empty())
+            .map(|f| f.trans);
+        for (tid, t) in net.transitions() {
+            if !can_fire(m, t) {
+                continue;
+            }
+            if t.inputs.is_empty()
+                && t.optionals.is_empty()
+                && prev_zero_required.is_some_and(|prev| tid < prev)
+            {
+                continue;
+            }
+            let avail: Vec<u32> = t
+                .optionals
+                .iter()
+                .zip(net.optional_overlap(tid))
+                .map(|(&(p, cap), &overlap)| cap.min(m.tokens(p).saturating_sub(overlap)))
+                .collect();
+            let mut choice = vec![0u32; avail.len()];
+            loop {
+                let firing = Firing::with_optionals(tid, choice.clone());
+                let mut child = m.clone();
+                apply(&mut child, net, &firing);
+                path.push(firing);
+                walk(net, &child, fin, remaining - 1, path, out);
+                path.pop();
+                // Odometer, lowest digit first.
+                let Some(i) = (0..choice.len()).find(|&i| choice[i] < avail[i]) else {
+                    break;
+                };
+                choice[i] += 1;
+                choice[..i].fill(0);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for len in 1..=max_len {
+        walk(net, init, fin, len, &mut Vec::new(), &mut out);
+    }
+    out
 }

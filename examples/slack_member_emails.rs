@@ -7,8 +7,8 @@
 //! RE-ranked synthesis.
 //!
 //! Run with: `cargo run --release --example slack_member_emails`
-//! (the deep 9-transition solution path can take a couple of minutes; an
-//! intermediate task is shown first).
+//! (an intermediate task is shown first, then every path up to 9
+//! transitions for the member-emails task).
 
 use apiphany_benchmarks::{default_analyze_config, prepare_api, Api};
 use apiphany_core::{Budget, Event, RunConfig};
