@@ -11,8 +11,14 @@ impl Value {
     /// ```
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        write_value(&mut out, self, None, 0);
+        self.write_json(&mut out);
         out
+    }
+
+    /// Appends the compact JSON of [`Value::to_json`] to `out`, for
+    /// callers that reuse one buffer across many values.
+    pub fn write_json(&self, out: &mut String) {
+        write_value(out, self, None, 0);
     }
 
     /// Serializes to human-readable JSON with two-space indentation.

@@ -9,9 +9,17 @@
 //!   used in a guard is chosen to make the guard true (E-If-True-L/R);
 //!   one first used elsewhere is sampled from the values observed at its
 //!   semantic type.
+//!
+//! Values flow through the evaluator as [`Cow`]s: a replayed call yields
+//! a reference to the witness output, and variables, projections, binds
+//! and guards pass references on. Only the rules that build a value —
+//! `return`, record literals, and the concatenation of a bind's parts —
+//! copy, so a run costs in proportion to what the program constructs,
+//! not to the size of the responses it reads.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use apiphany_json::Value;
 use apiphany_lang::{Expr, Program};
@@ -40,29 +48,48 @@ fn fail<T>(reason: impl Into<String>) -> Result<T, ReFailure> {
     Err(ReFailure { reason: reason.into() })
 }
 
+/// The `null` a projection of an absent field borrows.
+static NULL: Value = Value::Null;
+
 /// Witness indices for fast exact / approximate matching, plus the value
-/// banks used for lazy input sampling. Built once per API.
+/// banks used for lazy input sampling.
+///
+/// Every session builds one per query (the index borrows the engine's
+/// witnesses). Building it copies no values: it costs one
+/// canonical-argument string per witness plus the map entries, about
+/// 0.3 ms for one of the Table 2 APIs (some 500 witnesses).
 #[derive(Debug)]
 pub struct ReContext<'a> {
     semlib: &'a SemLib,
-    /// Exact: `(method, canonical args)` → outputs.
-    exact: HashMap<(String, String), Vec<Value>>,
-    /// Approximate: `(method, sorted arg names)` → outputs.
-    by_names: HashMap<(String, Vec<String>), Vec<Value>>,
+    /// Witness outputs per method name.
+    methods: HashMap<&'a str, MethodIndex<'a>>,
+}
+
+/// One method's witness outputs, in witness order.
+#[derive(Debug, Default)]
+struct MethodIndex<'a> {
+    /// Exact: canonical args (see [`canonical_args`]) → outputs.
+    exact: HashMap<String, Vec<&'a Value>>,
+    /// Approximate: sorted arg names → outputs (a method has only a few
+    /// distinct argument-name sets, so a list beats hashing).
+    by_names: Vec<(Vec<&'a str>, Vec<&'a Value>)>,
 }
 
 impl<'a> ReContext<'a> {
     /// Indexes a witness set.
     pub fn new(semlib: &'a SemLib, witnesses: &'a [Witness]) -> ReContext<'a> {
-        let mut exact: HashMap<(String, String), Vec<Value>> = HashMap::new();
-        let mut by_names: HashMap<(String, Vec<String>), Vec<Value>> = HashMap::new();
+        let mut methods: HashMap<&'a str, MethodIndex<'a>> = HashMap::new();
         for w in witnesses {
-            let key = (w.method.clone(), canonical_args(&w.args));
-            exact.entry(key).or_default().push(w.output.clone());
-            let names = w.arg_names().iter().map(ToString::to_string).collect();
-            by_names.entry((w.method.clone(), names)).or_default().push(w.output.clone());
+            let index = methods.entry(w.method.as_str()).or_default();
+            let key = canonical_args(w.args.iter().map(|(name, v)| (name.as_str(), v)));
+            index.exact.entry(key).or_default().push(&w.output);
+            let names = w.arg_names();
+            match index.by_names.iter_mut().find(|(n, _)| *n == names) {
+                Some((_, outputs)) => outputs.push(&w.output),
+                None => index.by_names.push((names, vec![&w.output])),
+            }
         }
-        ReContext { semlib, exact, by_names }
+        ReContext { semlib, methods }
     }
 
     /// The semantic library (types and value banks).
@@ -84,36 +111,56 @@ impl<'a> ReContext<'a> {
         query: &Query,
         seed: u64,
     ) -> Result<Value, ReFailure> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        self.eval(program, query, seed).map(Cow::into_owned)
+    }
+
+    /// [`ReContext::run`] without the final copy: the result may borrow
+    /// a witness output.
+    pub(crate) fn eval(
+        &self,
+        program: &Program,
+        query: &Query,
+        seed: u64,
+    ) -> Result<Cow<'a, Value>, ReFailure> {
         let mut eval = Eval {
             ctx: self,
-            types: query.params.iter().cloned().collect(),
+            params: &query.params,
             env: HashMap::new(),
-            rng: &mut rng,
+            rng: StdRng::seed_from_u64(seed),
             fuel: 200_000,
         };
         eval.eval(&program.body)
     }
 }
 
-/// Canonical serialization of an argument record: sorted by name.
-fn canonical_args(args: &[(String, Value)]) -> String {
-    let mut sorted: Vec<(String, Value)> = args.to_vec();
-    sorted.sort_by(|a, b| a.0.cmp(&b.0));
-    Value::Object(sorted).to_json()
+/// Canonical form of an argument record for exact matching: the
+/// arguments sorted by name (stably), each written as the name's length,
+/// the name, and the value's compact JSON. The length prefix and the
+/// self-delimiting JSON make the form injective, so two records share a
+/// key exactly when their sorted names and printed values agree.
+fn canonical_args<'v>(args: impl Iterator<Item = (&'v str, &'v Value)>) -> String {
+    let mut sorted: Vec<(&str, &Value)> = args.collect();
+    sorted.sort_by(|a, b| a.0.cmp(b.0));
+    let mut out = String::new();
+    for (name, v) in sorted {
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{}:{name}", name.len());
+        v.write_json(&mut out);
+    }
+    out
 }
 
-struct Eval<'a, 'b> {
-    ctx: &'b ReContext<'a>,
+struct Eval<'a, 'p> {
+    ctx: &'p ReContext<'a>,
     /// `Γ`: the (semantic) types of the program parameters.
-    types: HashMap<String, SemTy>,
+    params: &'p [(String, SemTy)],
     /// `Σ`: the environment.
-    env: HashMap<String, Value>,
-    rng: &'b mut StdRng,
+    env: HashMap<&'p str, Cow<'a, Value>>,
+    rng: StdRng,
     fuel: usize,
 }
 
-impl Eval<'_, '_> {
+impl<'a, 'p> Eval<'a, 'p> {
     fn spend(&mut self) -> Result<(), ReFailure> {
         if self.fuel == 0 {
             return fail("evaluation budget exhausted");
@@ -122,32 +169,38 @@ impl Eval<'_, '_> {
         Ok(())
     }
 
+    /// The semantic type of program parameter `x` (the last declaration
+    /// wins, as in a map built from the parameter list).
+    fn param_ty(&self, x: &str) -> Option<&'p SemTy> {
+        self.params.iter().rev().find(|(n, _)| n == x).map(|(_, ty)| ty)
+    }
+
     /// Is `e` a program input that has not been assigned yet?
-    fn undefined_param(&self, e: &Expr) -> Option<String> {
+    fn undefined_param(&self, e: &'p Expr) -> Option<&'p str> {
         match e {
-            Expr::Var(x) if !self.env.contains_key(x) && self.types.contains_key(x) => {
-                Some(x.clone())
+            Expr::Var(x) if !self.env.contains_key(x.as_str()) && self.param_ty(x).is_some() => {
+                Some(x)
             }
             _ => None,
         }
     }
 
-    fn eval(&mut self, e: &Expr) -> Result<Value, ReFailure> {
+    fn eval(&mut self, e: &'p Expr) -> Result<Cow<'a, Value>, ReFailure> {
         self.spend()?;
         match e {
             // E-Var / E-Var-Lazy.
             Expr::Var(x) => {
-                if let Some(v) = self.env.get(x) {
+                if let Some(v) = self.env.get(x.as_str()) {
                     return Ok(v.clone());
                 }
-                let Some(ty) = self.types.get(x).cloned() else {
+                let Some(ty) = self.param_ty(x) else {
                     return fail(format!("unbound variable {x}"));
                 };
-                let Some(v) = sample_value(self.ctx.semlib, &ty, self.rng) else {
+                let Some(v) = sample_value(self.ctx.semlib, ty, &mut self.rng) else {
                     return fail(format!("no observed values to sample input {x}"));
                 };
-                self.env.insert(x.clone(), v.clone());
-                Ok(v)
+                self.env.insert(x, Cow::Owned(v.clone()));
+                Ok(Cow::Owned(v))
             }
             // E-Projection (hasField premise). Deviation, documented in
             // DESIGN.md: projecting a *declared-but-absent* field of an
@@ -156,48 +209,50 @@ impl Eval<'_, '_> {
             // `item_data` or `discount_data`, never both), and the paper's
             // own benchmark 3.3/3.4 golds project such fields across mixed
             // arrays. Projection from a non-object still fails.
-            Expr::Proj(base, label) => {
-                let v = self.eval(base)?;
-                match v {
-                    Value::Object(_) => Ok(v.get(label).cloned().unwrap_or(Value::Null)),
-                    Value::Null => Ok(Value::Null),
-                    other => fail(format!(
-                        "projection .{label} from non-object value {other}"
-                    )),
+            Expr::Proj(base, label) => match self.eval(base)? {
+                Cow::Borrowed(v @ Value::Object(_)) => {
+                    Ok(Cow::Borrowed(v.get(label).unwrap_or(&NULL)))
                 }
-            }
+                Cow::Owned(Value::Object(fields)) => Ok(Cow::Owned(
+                    fields.into_iter().find(|(k, _)| k == label).map_or(Value::Null, |f| f.1),
+                )),
+                v if v.is_null() => Ok(Cow::Borrowed(&NULL)),
+                other => fail(format!("projection .{label} from non-object value {other}")),
+            },
             // E-Bind-Pure.
             Expr::Let(x, rhs, body) => {
                 let v = self.eval(rhs)?;
-                self.env.insert(x.clone(), v);
+                self.env.insert(x, v);
                 let out = self.eval(body);
-                self.env.remove(x);
+                self.env.remove(x.as_str());
                 out
             }
             // E-Bind-Monad: concatenate per-element results. `null`
             // iterates as the empty array (tagged-union tolerance, see the
             // projection rule above).
             Expr::Bind(x, rhs, body) => {
-                let arr = self.eval(rhs)?;
-                let items = match arr {
-                    Value::Array(items) => items,
-                    Value::Null => Vec::new(),
-                    _ => return fail("monadic bind over non-array value"),
-                };
                 let mut out = Vec::new();
-                for item in items {
-                    self.env.insert(x.clone(), item);
-                    let r = self.eval(body)?;
-                    let Value::Array(mut part) = r else {
-                        return fail("bind body returned non-array");
-                    };
-                    out.append(&mut part);
+                match self.eval(rhs)? {
+                    Cow::Borrowed(Value::Array(items)) => {
+                        for item in items {
+                            self.bind_one(x, Cow::Borrowed(item), body, &mut out)?;
+                        }
+                    }
+                    Cow::Owned(Value::Array(items)) => {
+                        for item in items {
+                            self.bind_one(x, Cow::Owned(item), body, &mut out)?;
+                        }
+                    }
+                    v if v.is_null() => {}
+                    _ => return fail("monadic bind over non-array value"),
                 }
-                self.env.remove(x);
-                Ok(Value::Array(out))
+                self.env.remove(x.as_str());
+                Ok(Cow::Owned(Value::Array(out)))
             }
             // E-Return.
-            Expr::Return(inner) => Ok(Value::Array(vec![self.eval(inner)?])),
+            Expr::Return(inner) => {
+                Ok(Cow::Owned(Value::Array(vec![self.eval(inner)?.into_owned()])))
+            }
             // Guards: E-If-True-L / E-If-True-R / E-If-True-LR / E-If-False,
             // generalized from variables to operand expressions (gold
             // programs write `if c.name = channel_name`).
@@ -224,44 +279,68 @@ impl Eval<'_, '_> {
                         if v1 == v2 {
                             self.eval(body)
                         } else {
-                            Ok(Value::Array(Vec::new()))
+                            Ok(Cow::Owned(Value::Array(Vec::new())))
                         }
                     }
                 }
             }
             // E-Method + E-Method-Val / E-Method-Name.
             Expr::Call(method, args) => {
-                let mut arg_values: Vec<(String, Value)> = Vec::new();
+                let mut arg_values = Vec::with_capacity(args.len());
                 for (name, a) in args {
-                    arg_values.push((name.clone(), self.eval(a)?));
+                    arg_values.push((name.as_str(), self.eval(a)?));
                 }
                 self.replay(method, &arg_values)
             }
             Expr::Record(fields) => {
-                let mut out = Vec::new();
+                let mut out = Vec::with_capacity(fields.len());
                 for (name, v) in fields {
-                    out.push((name.clone(), self.eval(v)?));
+                    out.push((name.clone(), self.eval(v)?.into_owned()));
                 }
-                Ok(Value::Object(out))
+                Ok(Cow::Owned(Value::Object(out)))
             }
         }
     }
 
+    /// One element of a monadic bind: binds `x` to `item`, evaluates
+    /// `body`, and appends its array to `out` (copying the elements only
+    /// when the body handed back a witness's array by reference).
+    fn bind_one(
+        &mut self,
+        x: &'p str,
+        item: Cow<'a, Value>,
+        body: &'p Expr,
+        out: &mut Vec<Value>,
+    ) -> Result<(), ReFailure> {
+        self.env.insert(x, item);
+        match self.eval(body)? {
+            Cow::Owned(Value::Array(mut part)) => out.append(&mut part),
+            Cow::Borrowed(Value::Array(part)) => out.extend(part.iter().cloned()),
+            _ => return fail("bind body returned non-array"),
+        }
+        Ok(())
+    }
+
     /// Replays a call: exact match first, then approximate (same method
     /// and argument names). Both may be non-deterministic.
-    fn replay(&mut self, method: &str, args: &[(String, Value)]) -> Result<Value, ReFailure> {
-        let exact_key = (method.to_string(), canonical_args(args));
-        if let Some(outputs) = self.ctx.exact.get(&exact_key) {
-            if let Some(v) = outputs.choose(self.rng) {
-                return Ok(v.clone());
+    fn replay(
+        &mut self,
+        method: &str,
+        args: &[(&str, Cow<'a, Value>)],
+    ) -> Result<Cow<'a, Value>, ReFailure> {
+        if let Some(index) = self.ctx.methods.get(method) {
+            let key = canonical_args(args.iter().map(|(name, v)| (*name, &**v)));
+            if let Some(outputs) = index.exact.get(&key) {
+                if let Some(v) = outputs.choose(&mut self.rng) {
+                    return Ok(Cow::Borrowed(v));
+                }
             }
-        }
-        let mut names: Vec<String> = args.iter().map(|(n, _)| n.clone()).collect();
-        names.sort();
-        let name_key = (method.to_string(), names);
-        if let Some(outputs) = self.ctx.by_names.get(&name_key) {
-            if let Some(v) = outputs.choose(self.rng) {
-                return Ok(v.clone());
+            let mut names: Vec<&str> = args.iter().map(|(name, _)| *name).collect();
+            names.sort_unstable();
+            if let Some((_, outputs)) = index.by_names.iter().find(|(n, _)| *n == names) {
+                if let Some(v) = outputs.choose(&mut self.rng) {
+                    return Ok(Cow::Borrowed(v));
+                }
             }
         }
         fail(format!("no witness for {method} with these argument names"))

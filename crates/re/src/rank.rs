@@ -71,35 +71,37 @@ pub fn cost_of(
     params: &CostParams,
 ) -> Cost {
     let start = Instant::now();
-    let mut results: Vec<Value> = Vec::new();
+    // The penalties only look at each result's shape: its array length,
+    // or `None` for a non-array. Keeping just that lets a run's result
+    // stay borrowed from the witnesses.
+    let mut shapes: Vec<Option<usize>> = Vec::with_capacity(params.rounds);
     let mut n_failed = 0;
     for i in 0..params.rounds {
-        match ctx.run(program, query, params.seed.wrapping_add(i as u64)) {
-            Ok(v) => results.push(v),
+        match ctx.eval(program, query, params.seed.wrapping_add(i as u64)) {
+            Ok(v) => shapes.push(v.as_array().map(<[Value]>::len)),
             Err(_) => n_failed += 1,
         }
     }
     let base = program.metrics().ast_nodes as f64;
-    let n_empty =
-        results.iter().filter(|v| v.as_array().is_some_and(<[Value]>::is_empty)).count();
-    let penalty = if results.is_empty() {
+    let n_empty = shapes.iter().filter(|&&s| s == Some(0)).count();
+    let penalty = if shapes.is_empty() {
         // res = ∅: all executions failed.
         params.fail_penalty
-    } else if n_empty == results.len() {
+    } else if n_empty == shapes.len() {
         // res = {[]}: every execution returned an empty array.
         params.empty_penalty
     } else {
-        multiplicity_penalty(&results, &query.output, params)
+        let lens: Vec<usize> = shapes.into_iter().flatten().collect();
+        multiplicity_penalty(&lens, &query.output, params)
     };
     Cost { base, penalty, n_failed, n_empty, re_time: start.elapsed() }
 }
 
-/// The multiplicity check of §6 item 4: a scalar query type penalizes
-/// results with more than one element; an array query type penalizes the
-/// candidate when *all* (non-empty) results are singletons.
-fn multiplicity_penalty(results: &[Value], output: &SemTy, params: &CostParams) -> f64 {
-    let lens: Vec<usize> =
-        results.iter().filter_map(|v| v.as_array().map(<[Value]>::len)).collect();
+/// The multiplicity check of §6 item 4 over the lengths of the array
+/// results: a scalar query type penalizes results with more than one
+/// element; an array query type penalizes the candidate when *all*
+/// (non-empty) results are singletons.
+fn multiplicity_penalty(lens: &[usize], output: &SemTy, params: &CostParams) -> f64 {
     match output {
         SemTy::Array(_) => {
             if !lens.is_empty() && lens.iter().all(|&l| l <= 1) {

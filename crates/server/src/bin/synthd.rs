@@ -18,7 +18,6 @@ use std::time::Duration;
 use apiphany_core::{FaultKind, FaultPlane, FaultPoint};
 use apiphany_net::{
     install_term_flag, ListenAddr, Listener, NetConfig, WriteFault, WriteFaultHook,
-    DEFAULT_MAX_FRAME,
 };
 use apiphany_server::{run_daemon, run_net_daemon, NetOptions};
 
@@ -43,7 +42,8 @@ fn write_fault_hook(plane: &FaultPlane) -> Option<WriteFaultHook> {
 fn main() -> ExitCode {
     let mut opts = NetOptions::default();
     let mut listen: Vec<ListenAddr> = Vec::new();
-    let mut max_frame = DEFAULT_MAX_FRAME;
+    // Transport tuning; the fault hook is added once the plane is known.
+    let mut net = NetConfig::default();
     let mut fault_seed = 0u64;
     let mut fault_spec: Option<String> = None;
     let mut metrics_every: Option<Duration> = None;
@@ -76,7 +76,7 @@ fn main() -> ExitCode {
             },
             "--max-frame" => match args.get(i + 1).and_then(|s| s.parse().ok()) {
                 Some(n) if n > 0 => {
-                    max_frame = n;
+                    net.max_frame = n;
                     i += 1;
                 }
                 _ => return usage("--max-frame needs a positive byte count"),
@@ -125,7 +125,7 @@ fn main() -> ExitCode {
             },
             "--write-deadline-ms" => match args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
                 Some(n) if n > 0 => {
-                    opts.write_deadline = Duration::from_millis(n);
+                    net.write_deadline = Duration::from_millis(n);
                     i += 1;
                 }
                 _ => return usage("--write-deadline-ms needs a positive number of milliseconds"),
@@ -221,13 +221,8 @@ fn main() -> ExitCode {
             }
         }
     }
-    let cfg = NetConfig {
-        max_frame,
-        write_deadline: opts.write_deadline,
-        write_fault: write_fault_hook(&opts.daemon.fault),
-        ..NetConfig::default()
-    };
-    match run_net_daemon(listeners, cfg, &opts, &term) {
+    net.write_fault = write_fault_hook(&opts.daemon.fault);
+    match run_net_daemon(listeners, net, &opts, &term) {
         Ok(summary) => {
             eprintln!(
                 "synthd: served {} clients, {} requests, {} events, shed {}, stalled {}",

@@ -65,11 +65,6 @@ pub struct NetOptions {
     /// How long a drain lets in-flight work keep running before
     /// cancelling the remainder.
     pub drain_grace: Duration,
-    /// How long a client's oldest undrained outbound frame may wait
-    /// before the transport disconnects it as stalled (the
-    /// [`apiphany_net::NetConfig::write_deadline`] the binary passes to
-    /// the transport).
-    pub write_deadline: Duration,
     /// Shared secret required from every connection before any request
     /// is served. `None` (the default) disables authentication. When
     /// set, the `hello` frame announces `"auth": true` and a client's
@@ -88,7 +83,6 @@ impl Default for NetOptions {
             max_client_waiting: 16,
             search_high_water: 64,
             drain_grace: Duration::from_secs(10),
-            write_deadline: Duration::from_secs(5),
             auth_token: None,
         }
     }

@@ -46,15 +46,15 @@ struct TestServer {
 }
 
 impl TestServer {
-    fn start(addr: &ListenAddr, opts: NetOptions) -> TestServer {
+    fn start(addr: &ListenAddr, opts: NetOptions, write_deadline: Duration) -> TestServer {
         let listener = Listener::bind(addr).expect("bind test listener");
         let addr = listener.local_addr();
-        // The transport config the synthd binary derives from the same
-        // options; a roomy queue cap so a cut non-reading client is
+        // The synthd binary's transport config with the given write
+        // deadline; a roomy queue cap so a cut non-reading client is
         // always a write-deadline stall, never an overflow.
         let cfg = NetConfig {
             max_frame: DEFAULT_MAX_FRAME,
-            write_deadline: opts.write_deadline,
+            write_deadline,
             queue_cap: 16_384,
             ..NetConfig::default()
         };
@@ -66,7 +66,7 @@ impl TestServer {
     }
 
     fn start_unix(opts: NetOptions) -> TestServer {
-        TestServer::start(&fresh_unix_addr(), opts)
+        TestServer::start(&fresh_unix_addr(), opts, NetConfig::default().write_deadline)
     }
 
     /// Raises the drain latch and waits for the serving loop to return.
@@ -194,6 +194,7 @@ fn hello_version_gate_and_lane_status_over_tcp() {
     let server = TestServer::start(
         &ListenAddr::parse("tcp:127.0.0.1:0").unwrap(),
         NetOptions::default(),
+        NetConfig::default().write_deadline,
     );
     let mut client = Client::connect(&server.addr);
     client.expect_hello();
@@ -439,10 +440,9 @@ proptest! {
 
         let opts = NetOptions {
             daemon: DaemonOptions { slots, ..DaemonOptions::default() },
-            write_deadline: Duration::from_millis(150),
             ..NetOptions::default()
         };
-        let server = TestServer::start_unix(opts);
+        let server = TestServer::start(&fresh_unix_addr(), opts, Duration::from_millis(150));
         let mut a = Client::connect(&server.addr);
         a.expect_hello();
         register_warm(&mut a);

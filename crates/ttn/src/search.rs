@@ -114,7 +114,12 @@ pub struct SearchConfig {
     /// proven anywhere prunes everywhere. The cap is split across the
     /// set's shards; when a shard fills, it evicts its oldest epoch
     /// (half its entries) instead of rejecting inserts, so deep searches
-    /// keep memoizing their current frontier.
+    /// keep memoizing their current frontier. Memory follows the entries
+    /// actually stored: each shard's tables start at one 4 KiB page and
+    /// grow ×4 as they fill, so a short search allocates a few pages per
+    /// shard it touches. The cap only bounds the worst case: at the
+    /// default it is 85 MiB (the full-size tables, 64 MiB, plus the
+    /// smaller levels they grew through, kept until the search ends).
     /// Hit/miss/shared-hit/evicted counts are reported through
     /// [`SearchStats`].
     pub dead_set_cap: usize,
