@@ -11,7 +11,10 @@
 //!    the net's hypergraph computing producible places, dead transitions,
 //!    and per-place shortest-production distance; [`Reachability::prune`]
 //!    rebuilds the net without its dead transitions while preserving the
-//!    DFS event stream bit-identically.
+//!    DFS event stream bit-identically. A query's [`SearchPlan`] is the
+//!    pruned net plus the first level worth searching; [`LiveCore`] keeps
+//!    the seedless fixpoint's pruned net once per net, so most queries
+//!    plan without a rebuild.
 //! 3. **Query pre-check** ([`precheck_query`]): decide output
 //!    unreachability statically — with a structured explanation — in
 //!    microseconds instead of burning a search budget, and bound the
@@ -41,7 +44,7 @@ mod reach;
 pub use diag::{codes, Diagnostic, DiagnosticSummary, Severity};
 pub use lint::{lint_openapi, lint_semantics, lint_service};
 pub use precheck::{precheck_query, Precheck};
-pub use reach::Reachability;
+pub use reach::{LiveCore, Reachability, SearchPlan};
 
 #[cfg(test)]
 mod tests {

@@ -16,6 +16,13 @@
 //!   firings any sequence needs before a token can exist at `p`, so a
 //!   query whose output place has distance `d` cannot be solved by a path
 //!   shorter than `d` — iterative deepening can start there.
+//!
+//! Both feed one query's [`SearchPlan`]. The part that does not depend on
+//! the query — the seedless fixpoint and the net it prunes — is the
+//! net's [`LiveCore`], computed once per net; a query plans over it
+//! whenever its inputs add no producible place.
+
+use std::borrow::Cow;
 
 use apiphany_ttn::{PlaceId, TransId, Transition, Ttn};
 
@@ -114,25 +121,102 @@ impl Reachability {
 
     /// Rebuilds `net` without its dead transitions.
     ///
-    /// Places are re-interned in their original order, so every
-    /// [`PlaceId`] — and with it every marking, fingerprint, and query
-    /// marking — stays valid against the pruned net. Live transitions are
-    /// added in their original relative order, so candidate ordering and
-    /// the search's symmetry-breaking comparisons are preserved; a DFS
-    /// over the pruned net visits the exact nodes the full net's DFS
-    /// visits (dead transitions never pass `can_fire`) and emits a
-    /// bit-identical event stream.
+    /// The pruned net shares `net`'s place table
+    /// ([`Ttn::with_places_of`]), so every [`PlaceId`] — and with it
+    /// every marking, fingerprint, and query marking — stays valid
+    /// against it, and the rebuild copies only the live transitions.
+    /// They are added in their original relative order, so candidate
+    /// ordering and the search's symmetry-breaking comparisons are
+    /// preserved; a DFS over the pruned net visits the exact nodes the
+    /// full net's DFS visits (dead transitions never pass `can_fire`) and
+    /// emits a bit-identical event stream.
+    ///
+    /// The synthesizer prunes once per net ([`LiveCore`]), and per query
+    /// only for a query with an input the seedless fixpoint cannot
+    /// produce.
     pub fn prune(&self, net: &Ttn) -> Ttn {
-        let mut pruned = Ttn::new();
-        for i in 0..net.n_places() {
-            let id = pruned.intern_place(net.place_ty(PlaceId(i as u32)).clone());
-            debug_assert_eq!(id, PlaceId(i as u32));
-        }
+        let mut pruned = Ttn::with_places_of(net);
         for (tid, t) in net.transitions() {
             if self.live(tid) {
                 pruned.add_transition(t.clone());
             }
         }
         pruned
+    }
+}
+
+/// The net and first level one query's search uses, as decided by the
+/// reachability stage.
+#[derive(Debug)]
+pub struct SearchPlan<'a> {
+    /// The net to search: the planned-over net without the transitions
+    /// that are dead from the query's inputs (borrowed when none is).
+    pub net: Cow<'a, Ttn>,
+    /// The output place's distance bound: no shorter path exists, so
+    /// iterative deepening starts here (≥ 1).
+    pub start_len: usize,
+}
+
+impl<'a> SearchPlan<'a> {
+    /// The per-query reachability stage over `net`: the fixpoint seeded
+    /// with the query's input places `seeds`, then
+    /// [`Reachability::prune`] when some transition is dead. `None` when
+    /// the `output` place is unproducible from the seeds: no path of any
+    /// length exists.
+    pub fn new(net: &'a Ttn, seeds: &[PlaceId], output: PlaceId) -> Option<SearchPlan<'a>> {
+        let reach = Reachability::compute(net, seeds.iter().copied());
+        let distance = reach.distance(output)?;
+        let net = if reach.n_dead() > 0 {
+            Cow::Owned(reach.prune(net))
+        } else {
+            Cow::Borrowed(net)
+        };
+        Some(SearchPlan { net, start_len: (distance as usize).max(1) })
+    }
+}
+
+/// A net's seedless live core: the net without the transitions the
+/// seedless fixpoint marks dead. It depends only on the net, so it is
+/// computed once per net, like the net itself.
+///
+/// A query whose input places are all producible without seeds makes no
+/// further place producible, so its seeded fixpoint kills exactly the
+/// core's dead transitions: [`LiveCore::plan`] then plans over the core,
+/// where the seeded fixpoint (still needed for the distance bound) finds
+/// nothing dead and nothing is rebuilt. A query with an input nothing
+/// else produces may revive transitions the core dropped, so it is
+/// planned over the full net, exactly as [`SearchPlan::new`] does.
+#[derive(Debug)]
+pub struct LiveCore {
+    seedless: Reachability,
+    /// The pruned net; `None` when nothing is dead (the core is the full
+    /// net).
+    core: Option<Ttn>,
+}
+
+impl LiveCore {
+    /// Runs the seedless fixpoint over `net` and prunes it.
+    pub fn new(net: &Ttn) -> LiveCore {
+        let seedless = Reachability::compute(net, std::iter::empty());
+        let core = (seedless.n_dead() > 0).then(|| seedless.prune(net));
+        LiveCore { seedless, core }
+    }
+
+    /// Plans one query over `net`, the net this core was computed from:
+    /// the same plan as [`SearchPlan::new`]`(net, seeds, output)` — the
+    /// same transitions in the same order and the same `start_len` — but
+    /// borrowed from the core whenever every seed is producible without
+    /// seeds.
+    pub fn plan<'a>(
+        &'a self,
+        net: &'a Ttn,
+        seeds: &[PlaceId],
+        output: PlaceId,
+    ) -> Option<SearchPlan<'a>> {
+        let base = match &self.core {
+            Some(core) if seeds.iter().all(|&p| self.seedless.producible(p)) => core,
+            _ => net,
+        };
+        SearchPlan::new(base, seeds, output)
     }
 }

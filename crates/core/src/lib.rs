@@ -104,7 +104,7 @@ use apiphany_mining::{
     analyze_api, mine_types, mine_types_cancellable, parse_query, AnalyzeConfig, AnalyzeStats,
     MiningConfig, Query, SemLib,
 };
-use apiphany_re::CostParams;
+use apiphany_re::{CostParams, WitnessIndex};
 use apiphany_spec::{Library, Service, Witness};
 use apiphany_synth::{SynthesisConfig, SynthesisStats, Synthesizer};
 use apiphany_ttn::BuildOptions;
@@ -182,13 +182,15 @@ impl RunResult {
 }
 
 /// The shared, immutable state of an engine: the mined semantic library
-/// (inside the synthesizer, with its TTN) and the witness set used for
-/// retrospective execution. Sessions hold an `Arc` of this so the engine
-/// can be dropped while sessions are still streaming.
+/// (inside the synthesizer, with its TTN and live core) and the witness
+/// set used for retrospective execution, indexed once for every session.
+/// Sessions hold an `Arc` of this so the engine can be dropped while
+/// sessions are still streaming.
 #[derive(Debug)]
 pub(crate) struct EngineInner {
     pub(crate) synthesizer: Synthesizer,
     pub(crate) witnesses: Vec<Witness>,
+    pub(crate) witness_index: WitnessIndex,
     pub(crate) analysis_stats: Option<AnalyzeStats>,
     pub(crate) diagnostics: Vec<Diagnostic>,
 }
@@ -303,8 +305,15 @@ impl Engine {
         // Lint once at construction: every consumer (catalog inspect,
         // synthd `lint`, saved artifacts) reads the same diagnostics.
         let diagnostics = lint_service(synthesizer.semlib(), synthesizer.net());
+        let witness_index = WitnessIndex::new(&witnesses);
         Engine {
-            inner: Arc::new(EngineInner { synthesizer, witnesses, analysis_stats, diagnostics }),
+            inner: Arc::new(EngineInner {
+                synthesizer,
+                witnesses,
+                witness_index,
+                analysis_stats,
+                diagnostics,
+            }),
         }
     }
 

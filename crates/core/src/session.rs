@@ -320,7 +320,8 @@ fn run_worker(
     send: impl Fn(Event) -> bool,
 ) -> Option<Outcome> {
     let start = Instant::now();
-    let ctx = ReContext::new(inner.synthesizer.semlib(), &inner.witnesses);
+    let ctx =
+        ReContext::with_index(inner.synthesizer.semlib(), &inner.witnesses, &inner.witness_index);
     let mut ranker: Ranker<RankedProgram> = Ranker::new();
     let mut abandoned = false;
     let stats = inner.synthesizer.synthesize(query, &cfg.synthesis, cancel, &mut |event| {

@@ -51,45 +51,80 @@ fn fail<T>(reason: impl Into<String>) -> Result<T, ReFailure> {
 /// The `null` a projection of an absent field borrows.
 static NULL: Value = Value::Null;
 
-/// Witness indices for fast exact / approximate matching, plus the value
-/// banks used for lazy input sampling.
-///
-/// Every session builds one per query (the index borrows the engine's
-/// witnesses). Building it copies no values: it costs one
-/// canonical-argument string per witness plus the map entries, about
-/// 0.3 ms for one of the Table 2 APIs (some 500 witnesses).
+/// Witness positions for fast exact / approximate matching. It depends
+/// only on the witness set, so an engine builds one when it is
+/// constructed and every session borrows it
+/// ([`ReContext::with_index`]). Building it copies no values: it costs
+/// one canonical-argument string per witness plus the map entries,
+/// 0.08–0.15 ms per Table 2 API (release build, 2-CPU Xeon).
+#[derive(Debug, Clone)]
+pub struct WitnessIndex {
+    /// Per method name: its witnesses' positions.
+    methods: HashMap<String, MethodIndex>,
+    /// The indexed witness count, to catch a mismatched witness slice.
+    n_witnesses: usize,
+}
+
+/// One method's witness positions, in witness order.
+#[derive(Debug, Clone, Default)]
+struct MethodIndex {
+    /// Exact: canonical args (see [`canonical_args`]) → positions.
+    exact: HashMap<String, Vec<u32>>,
+    /// Approximate: sorted arg names → positions (a method has only a few
+    /// distinct argument-name sets, so a list beats hashing).
+    by_names: Vec<(Vec<String>, Vec<u32>)>,
+}
+
+impl WitnessIndex {
+    /// Indexes a witness set by position.
+    pub fn new(witnesses: &[Witness]) -> WitnessIndex {
+        let mut methods: HashMap<String, MethodIndex> = HashMap::new();
+        for (pos, w) in witnesses.iter().enumerate() {
+            let pos = u32::try_from(pos).expect("fewer than 2^32 witnesses");
+            let index = methods.entry(w.method.clone()).or_default();
+            let key = canonical_args(w.args.iter().map(|(name, v)| (name.as_str(), v)));
+            index.exact.entry(key).or_default().push(pos);
+            let names = w.arg_names();
+            match index.by_names.iter_mut().find(|(n, _)| *n == names) {
+                Some((_, positions)) => positions.push(pos),
+                None => index
+                    .by_names
+                    .push((names.into_iter().map(str::to_string).collect(), vec![pos])),
+            }
+        }
+        WitnessIndex { methods, n_witnesses: witnesses.len() }
+    }
+}
+
+/// Everything a retrospective execution reads: the semantic library (for
+/// lazy input sampling), the witnesses, and their [`WitnessIndex`].
 #[derive(Debug)]
 pub struct ReContext<'a> {
     semlib: &'a SemLib,
-    /// Witness outputs per method name.
-    methods: HashMap<&'a str, MethodIndex<'a>>,
-}
-
-/// One method's witness outputs, in witness order.
-#[derive(Debug, Default)]
-struct MethodIndex<'a> {
-    /// Exact: canonical args (see [`canonical_args`]) → outputs.
-    exact: HashMap<String, Vec<&'a Value>>,
-    /// Approximate: sorted arg names → outputs (a method has only a few
-    /// distinct argument-name sets, so a list beats hashing).
-    by_names: Vec<(Vec<&'a str>, Vec<&'a Value>)>,
+    witnesses: &'a [Witness],
+    index: Cow<'a, WitnessIndex>,
 }
 
 impl<'a> ReContext<'a> {
-    /// Indexes a witness set.
+    /// Indexes a witness set and runs over it. Sessions borrow their
+    /// engine's index instead ([`ReContext::with_index`]).
     pub fn new(semlib: &'a SemLib, witnesses: &'a [Witness]) -> ReContext<'a> {
-        let mut methods: HashMap<&'a str, MethodIndex<'a>> = HashMap::new();
-        for w in witnesses {
-            let index = methods.entry(w.method.as_str()).or_default();
-            let key = canonical_args(w.args.iter().map(|(name, v)| (name.as_str(), v)));
-            index.exact.entry(key).or_default().push(&w.output);
-            let names = w.arg_names();
-            match index.by_names.iter_mut().find(|(n, _)| *n == names) {
-                Some((_, outputs)) => outputs.push(&w.output),
-                None => index.by_names.push((names, vec![&w.output])),
-            }
-        }
-        ReContext { semlib, methods }
+        ReContext { semlib, witnesses, index: Cow::Owned(WitnessIndex::new(witnesses)) }
+    }
+
+    /// Runs over `witnesses` with an index already built from them by
+    /// [`WitnessIndex::new`]: nothing is copied or indexed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` was built from a witness set of another size.
+    pub fn with_index(
+        semlib: &'a SemLib,
+        witnesses: &'a [Witness],
+        index: &'a WitnessIndex,
+    ) -> ReContext<'a> {
+        assert_eq!(index.n_witnesses, witnesses.len(), "index built from other witnesses");
+        ReContext { semlib, witnesses, index: Cow::Borrowed(index) }
     }
 
     /// The semantic library (types and value banks).
@@ -328,18 +363,18 @@ impl<'a, 'p> Eval<'a, 'p> {
         method: &str,
         args: &[(&str, Cow<'a, Value>)],
     ) -> Result<Cow<'a, Value>, ReFailure> {
-        if let Some(index) = self.ctx.methods.get(method) {
+        if let Some(index) = self.ctx.index.methods.get(method) {
             let key = canonical_args(args.iter().map(|(name, v)| (*name, &**v)));
-            if let Some(outputs) = index.exact.get(&key) {
-                if let Some(v) = outputs.choose(&mut self.rng) {
-                    return Ok(Cow::Borrowed(v));
+            if let Some(positions) = index.exact.get(&key) {
+                if let Some(&pos) = positions.choose(&mut self.rng) {
+                    return Ok(Cow::Borrowed(&self.ctx.witnesses[pos as usize].output));
                 }
             }
             let mut names: Vec<&str> = args.iter().map(|(name, _)| *name).collect();
             names.sort_unstable();
-            if let Some((_, outputs)) = index.by_names.iter().find(|(n, _)| *n == names) {
-                if let Some(v) = outputs.choose(&mut self.rng) {
-                    return Ok(Cow::Borrowed(v));
+            if let Some((_, positions)) = index.by_names.iter().find(|(n, _)| *n == names) {
+                if let Some(&pos) = positions.choose(&mut self.rng) {
+                    return Ok(Cow::Borrowed(&self.ctx.witnesses[pos as usize].output));
                 }
             }
         }
@@ -446,6 +481,14 @@ mod tests {
         let p = parse_program(r"\ → { let c = c_list() c }").unwrap();
         let e = ctx.run(&p, &q, 0).unwrap_err();
         assert!(e.reason.contains("no witness"), "{e}");
+    }
+
+    #[test]
+    #[should_panic(expected = "index built from other witnesses")]
+    fn borrowed_index_must_match_the_witnesses() {
+        let (sl, w) = setup();
+        let index = WitnessIndex::new(&w[1..]);
+        let _ = ReContext::with_index(&sl, &w, &index);
     }
 
     #[test]

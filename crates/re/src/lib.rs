@@ -36,5 +36,5 @@
 mod exec;
 mod rank;
 
-pub use exec::{ReContext, ReFailure};
+pub use exec::{ReContext, ReFailure, WitnessIndex};
 pub use rank::{cost_of, Cost, CostParams, RankedEntry, Ranker};

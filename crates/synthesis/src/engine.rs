@@ -1,10 +1,11 @@
 //! The top-level synthesis algorithm (paper Fig. 10): TTN search →
 //! `Progs(π)` → `Lift` → type check, streaming candidates to the caller.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
-use apiphany_analysis::Reachability;
+use apiphany_analysis::{LiveCore, SearchPlan};
 use apiphany_lang::anf::{canonicalize, AnfProgram};
 use apiphany_lang::Program;
 use apiphany_mining::{Query, SemLib};
@@ -36,15 +37,18 @@ pub struct SynthesisConfig {
     /// Dead-state memo capacity forwarded to
     /// [`SearchConfig::dead_set_cap`] (`0` disables memoization).
     pub dead_set_cap: usize,
-    /// Static pruning (default `true`): before the search starts, a
-    /// reachability fixpoint seeded with the query's inputs removes
-    /// transitions that can never fire and starts iterative deepening at
-    /// the distance lower bound of the output type. Pruning never changes
-    /// the emitted event stream — dead transitions appear on no valid
-    /// path and skipped levels are provably path-free — it only removes
-    /// wasted work; a statically unreachable output short-circuits the
-    /// whole search. `false` runs the search on the full net (the
-    /// property tests compare the two streams).
+    /// Static pruning (default `true`): the search runs on the net
+    /// without the transitions that can never fire from the query's
+    /// inputs, and iterative deepening starts at the output type's
+    /// distance lower bound. When the API alone produces every input
+    /// type, that net is the [`Synthesizer`]'s live core, pruned once at
+    /// construction; otherwise a reachability fixpoint seeded with the
+    /// query's inputs prunes the full net for this query. Pruning never
+    /// changes the emitted event stream — dead transitions appear on no
+    /// valid path and skipped levels are provably path-free — it only
+    /// removes wasted work; a statically unreachable output
+    /// short-circuits the whole search. `false` runs the search on the
+    /// full net (the property tests compare the streams).
     pub prune: bool,
     /// Observability plane, forwarded to [`SearchConfig::telemetry`] so
     /// the TTN search reports its counters and per-level wall times.
@@ -133,17 +137,26 @@ pub enum Outcome {
 
 /// A reusable synthesizer: builds the TTN once per semantic library and
 /// answers any number of queries against it.
+///
+/// Construction also does the query-independent half of the
+/// reachability stage: the seedless fixpoint and its pruned net, the
+/// [`LiveCore`]. A query whose inputs are all producible without seeds
+/// (every Table 2 query) searches that core directly; only a query with
+/// an input nothing in the API produces re-runs the fixpoint and the
+/// prune over the full net.
 #[derive(Debug)]
 pub struct Synthesizer {
     semlib: SemLib,
     net: Ttn,
+    core: LiveCore,
 }
 
 impl Synthesizer {
-    /// Builds the TTN for a semantic library.
+    /// Builds the TTN for a semantic library and its live core.
     pub fn new(semlib: SemLib, build: &BuildOptions) -> Synthesizer {
         let net = build_ttn(&semlib, build);
-        Synthesizer { semlib, net }
+        let core = LiveCore::new(&net);
+        Synthesizer { semlib, net, core }
     }
 
     /// The semantic library.
@@ -186,44 +199,39 @@ impl Synthesizer {
             None => return stats,
         };
 
-        // Static analysis before any search: prune transitions that can
+        // Static analysis before any search: drop transitions that can
         // never fire from this query's inputs and start deepening at the
-        // output's distance lower bound. Both are stream-preserving (see
-        // `apiphany_analysis::Reachability`); an unreachable output
-        // short-circuits the whole run in microseconds.
-        let mut start_len = 1;
-        let mut pruned: Option<Ttn> = None;
-        if cfg.prune {
-            let seeds = params.iter().map(|&(_, p)| p);
-            let reach = Reachability::compute(&self.net, seeds);
+        // output's distance bound. Both are stream-preserving (see
+        // `apiphany_analysis::Reachability`). A query whose inputs the
+        // API already produces searches the engine's live core as is;
+        // an unreachable output short-circuits the whole run.
+        let plan = if cfg.prune {
+            let seeds: Vec<PlaceId> = params.iter().map(|&(_, p)| p).collect();
             let out_place = self.net.place_of(&query.output).expect("query_markings resolved it");
-            match reach.distance(out_place) {
-                None => {
-                    // Statically unreachable: report the exact event
-                    // stream an exhausted search would have produced.
-                    for depth in 1..=cfg.budget.max_depth {
-                        if !on_event(SynthEvent::DepthExhausted { depth }) {
-                            stats.outcome = Outcome::Stopped;
-                            return stats;
-                        }
+            let Some(plan) = self.core.plan(&self.net, &seeds, out_place) else {
+                // Statically unreachable: report the exact event stream
+                // an exhausted search would have produced.
+                for depth in 1..=cfg.budget.max_depth {
+                    if !on_event(SynthEvent::DepthExhausted { depth }) {
+                        stats.outcome = Outcome::Stopped;
+                        return stats;
                     }
-                    stats.outcome = Outcome::Exhausted;
-                    return stats;
                 }
-                Some(d) => start_len = (d as usize).max(1),
-            }
-            if reach.n_dead() > 0 {
-                pruned = Some(reach.prune(&self.net));
-            }
-        }
-        let net = pruned.as_ref().unwrap_or(&self.net);
+                stats.outcome = Outcome::Exhausted;
+                return stats;
+            };
+            plan
+        } else {
+            SearchPlan { net: Cow::Borrowed(&self.net), start_len: 1 }
+        };
+        let net = &*plan.net;
 
         let mut seen: HashSet<AnfProgram> = HashSet::new();
         let deadline = cfg.budget.deadline_from(start);
         let max_candidates = cfg.budget.max_candidates.unwrap_or(usize::MAX);
         let search = SearchConfig {
             max_len: cfg.budget.max_depth,
-            start_len,
+            start_len: plan.start_len,
             max_paths: usize::MAX,
             deadline,
             threads: cfg.threads,

@@ -4,7 +4,9 @@
 //!
 //! The pipeline is exactly the paper's Fig. 10:
 //!
-//! 1. `BuildTTN(Λ̂)` — done once per library by [`Synthesizer::new`];
+//! 1. `BuildTTN(Λ̂)` — done once per library by [`Synthesizer::new`],
+//!    which also prunes the net to its live core for the queries'
+//!    reachability stage;
 //! 2. `Paths(N, I, F)` — iterative-deepening path enumeration
 //!    (`apiphany_ttn`);
 //! 3. `Progs(π)` — all argument assignments of each path

@@ -72,7 +72,6 @@
 //! serial enumerator's O(depth) — on path-dense nets with an unbounded
 //! `max_paths`, prefer serial search or set a cap.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -81,7 +80,7 @@ use apiphany_spec::CancelToken;
 use apiphany_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use crate::dead::{Probe, SharedDeadSet};
 use crate::marking::{apply, can_fire, unapply, Firing, Marking};
-use crate::net::{PlaceId, TransId, Transition, Ttn};
+use crate::net::{TokenBounds, TransId, Transition, Ttn};
 use crate::pool::{team_scope, Team};
 
 /// Search configuration.
@@ -491,28 +490,6 @@ enum StepOutcome {
     Cancelled,
 }
 
-/// Per-net bounds used for token-count pruning.
-struct TokenBounds {
-    /// Max net token increase of any single firing.
-    max_inc: i64,
-    /// Max net token decrease of any single firing (optional consumption
-    /// included).
-    max_dec: i64,
-}
-
-fn token_bounds(net: &Ttn) -> TokenBounds {
-    let mut max_inc = 0i64;
-    let mut max_dec = 0i64;
-    for (_, t) in net.transitions() {
-        let cons: i64 = t.inputs.iter().map(|&(_, c)| i64::from(c)).sum();
-        let opt: i64 = t.optionals.iter().map(|&(_, c)| i64::from(c)).sum();
-        let prod: i64 = t.outputs.iter().map(|&(_, c)| i64::from(c)).sum();
-        max_inc = max_inc.max(prod - cons);
-        max_dec = max_dec.max(cons + opt - prod);
-    }
-    TokenBounds { max_inc, max_dec }
-}
-
 /// The backward cost-to-go of every place against the final marking
 /// `fin`: a lower bound on the firings that can turn a token there into a
 /// final token or consume it. `0` at the places `fin` marks; elsewhere the
@@ -554,18 +531,11 @@ fn output_cost(cost: &[u32], t: &Transition) -> u32 {
 }
 
 /// Read-only per-search indexes, built once per [`enumerate_search`] call
-/// and shared by every level and every worker.
+/// and shared by every level and every worker. Only what depends on the
+/// final marking is computed here; the query-independent indexes
+/// (candidate lists, token deltas, token bounds) live on the [`Ttn`].
 struct NetIndex {
-    /// Transitions with no required inputs (always candidates).
-    zero_required: Vec<TransId>,
-    /// Transitions indexed by their first (smallest) required input place;
-    /// a transition is only enabled when that place is marked, so this
-    /// index avoids scanning the full transition set at every node.
-    by_first_input: HashMap<PlaceId, Vec<TransId>>,
-    /// Per transition: net token change of firing it with no optional
-    /// consumption (`produced - required`). The parent-side feasibility
-    /// filter subtracts the optional consumption of the concrete choice.
-    delta: Vec<i64>,
+    /// The net's bounds on one firing's token-count change.
     bounds: TokenBounds,
     fin_total: i64,
     /// Per place: the fewest firings that can turn a token there into a
@@ -579,25 +549,10 @@ struct NetIndex {
 
 impl NetIndex {
     fn new(net: &Ttn, fin: &Marking) -> NetIndex {
-        let mut zero_required = Vec::new();
-        let mut by_first_input: HashMap<PlaceId, Vec<TransId>> = HashMap::new();
-        let mut delta = Vec::with_capacity(net.n_transitions());
-        for (id, t) in net.transitions() {
-            match t.inputs.first() {
-                None => zero_required.push(id),
-                Some(&(p, _)) => by_first_input.entry(p).or_default().push(id),
-            }
-            let cons: i64 = t.inputs.iter().map(|&(_, c)| i64::from(c)).sum();
-            let prod: i64 = t.outputs.iter().map(|&(_, c)| i64::from(c)).sum();
-            delta.push(prod - cons);
-        }
         let cost_to_go = cost_to_go(net, fin);
         let out_cost = net.transitions().map(|(_, t)| output_cost(&cost_to_go, t)).collect();
         NetIndex {
-            zero_required,
-            by_first_input,
-            delta,
-            bounds: token_bounds(net),
+            bounds: net.token_bounds(),
             fin_total: i64::from(fin.total()),
             cost_to_go,
             out_cost,
@@ -948,11 +903,9 @@ impl<'a> Dfs<'a> {
         // plus those whose first required place is marked, in id order.
         let mut frame = std::mem::take(&mut self.scratch.frames[remaining]);
         frame.cands.clear();
-        frame.cands.extend_from_slice(&self.index.zero_required);
+        frame.cands.extend_from_slice(net.zero_required());
         for (place, _) in m.nonzero() {
-            if let Some(list) = self.index.by_first_input.get(&place) {
-                frame.cands.extend_from_slice(list);
-            }
+            frame.cands.extend_from_slice(net.by_first_input(place));
         }
         frame.cands.sort_unstable();
         let mut stopped = false;
@@ -987,7 +940,7 @@ impl<'a> Dfs<'a> {
             }
             frame.choice.clear();
             frame.choice.resize(t.optionals.len(), 0);
-            let base_delta = self.index.delta[tid.0 as usize];
+            let base_delta = net.delta(tid);
             loop {
                 // Parent-side feasibility filter: children the token-count
                 // check would prune anyway are skipped without paying for

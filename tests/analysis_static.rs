@@ -5,7 +5,7 @@
 
 use std::time::Instant;
 
-use apiphany_repro::analysis::{precheck_query, Precheck};
+use apiphany_repro::analysis::{precheck_query, Precheck, Reachability};
 use apiphany_repro::benchmarks::{benchmark, default_run_config, prepare_api, Api};
 use apiphany_repro::core::{Budget, Engine, EngineError, Event, QuerySpec, RunConfig};
 use apiphany_repro::mining::AnalyzeConfig;
@@ -194,6 +194,41 @@ fn unreachable_query_is_rejected_structurally_and_fast() {
     assert_eq!(events.len(), 5, "one DepthExhausted per level, nothing else");
     assert!(events.iter().all(|is_candidate| !is_candidate));
     assert_eq!(stats.search.nodes, 0, "the DFS never ran");
+}
+
+/// An input only the query supplies revives a method the engine's
+/// live core drops: the query still solves through that method, with
+/// the stream of an unpruned search.
+#[test]
+fn query_only_input_revives_a_method_the_live_core_drops() {
+    let lib = LibraryBuilder::new("demo")
+        .object("Thing", |o| o.field("id", SynTy::Str))
+        .method("make_thing", |m| {
+            m.param("secret", SynTy::Str).returns(SynTy::object("Thing"))
+        })
+        .method("list_things", |m| m.returns(SynTy::array(SynTy::object("Thing"))))
+        .build();
+    let engine = Engine::from_witnesses(lib, Vec::new());
+    let net = engine.synthesizer().net();
+    let seedless = Reachability::compute(net, std::iter::empty());
+    let dropped: Vec<String> =
+        seedless.dead_transitions(net).map(|t| net.transition_label(t)).collect();
+    assert!(dropped.contains(&"make_thing".to_string()), "{dropped:?}");
+
+    let query = "{ s: make_thing.in.secret } → Thing";
+    let base = SynthesisConfig { budget: Budget::depth(3), ..SynthesisConfig::default() };
+    let reference = stream(&engine, query, &SynthesisConfig { prune: false, ..base.clone() });
+    assert!(
+        reference.0.iter().any(|step| matches!(
+            step,
+            Step::Candidate { canonical, .. } if canonical.contains("make_thing")
+        )),
+        "{reference:?}"
+    );
+    for threads in [1usize, 2] {
+        let pruned = stream(&engine, query, &SynthesisConfig { threads, ..base.clone() });
+        assert_eq!(pruned, reference, "threads = {threads}");
+    }
 }
 
 /// Catalog-routed sessions surface the same structured rejection.
