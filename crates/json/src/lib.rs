@@ -20,6 +20,7 @@ mod parse;
 mod print;
 
 pub use parse::{parse, ParseJsonError};
+pub use print::write_json_string;
 
 /// A JSON value.
 ///

@@ -36,7 +36,7 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize)
         Value::Bool(false) => out.push_str("false"),
         Value::Int(i) => out.push_str(&i.to_string()),
         Value::Float(f) => write_float(out, *f),
-        Value::Str(s) => write_string(out, s),
+        Value::Str(s) => write_json_string(out, s),
         Value::Array(items) => {
             if items.is_empty() {
                 out.push_str("[]");
@@ -64,7 +64,7 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize)
                     out.push(',');
                 }
                 newline_indent(out, indent, level + 1);
-                write_string(out, k);
+                write_json_string(out, k);
                 out.push(':');
                 if indent.is_some() {
                     out.push(' ');
@@ -98,7 +98,10 @@ fn write_float(out: &mut String, f: f64) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Appends `s` as a compact-JSON string literal, quoted and escaped as
+/// [`Value::write_json`] writes strings, for callers that print
+/// structures of their own.
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

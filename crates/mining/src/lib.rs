@@ -43,5 +43,5 @@ pub use dsu::{PairDsu, ScalarKey};
 pub use infer::{canonical_scalar_loc, fold, lookup_ctx, lookup_step, Folded};
 pub use mine::{mine_types, mine_types_cancellable, Granularity, MiningConfig};
 pub use query::{parse_query, parse_sem_ty, Query, QueryParseError};
-pub use sample::sample_value;
+pub use sample::{sample, sample_value, Sample};
 pub use semlib::{GroupData, SemLib, SemMethodSig};

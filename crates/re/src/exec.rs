@@ -10,20 +10,30 @@
 //!   one first used elsewhere is sampled from the values observed at its
 //!   semantic type.
 //!
-//! Values flow through the evaluator as [`Cow`]s: a replayed call yields
-//! a reference to the witness output, and variables, projections, binds
-//! and guards pass references on. Only the rules that build a value —
-//! `return`, record literals, and the concatenation of a bind's parts —
-//! copy, so a run costs in proportion to what the program constructs,
-//! not to the size of the responses it reads.
+//! A candidate is compiled once before its rounds: each variable name
+//! becomes a slot in a `Vec` environment, and each call site resolves its
+//! method's witness positions, the name-sorted order of its arguments and
+//! its approximate-match positions. A round then hashes nothing but the
+//! exact-match key of each call it replays.
+//!
+//! Values are shared, never copied. A replayed call's output and a
+//! sampled input are references into the witnesses or the value bank; an
+//! array or record the program builds (`return`, the concatenation of a
+//! bind's parts, a record literal, a sampled array input) is an `Rc` over
+//! its parts. Reading a variable or passing a value on costs a pointer
+//! copy or a count increment, so a round costs in proportion to the nodes
+//! and calls it evaluates, not to the size of the responses it reads or
+//! returns. [`ReContext::run`] builds its owned [`Value`] once, at the
+//! end; [`cost_of`](crate::cost_of) reads only array lengths.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
+use std::rc::Rc;
 
-use apiphany_json::Value;
+use apiphany_json::{write_json_string, Value};
 use apiphany_lang::{Expr, Program};
-use apiphany_mining::{sample_value, Query, SemLib};
+use apiphany_mining::{sample, Query, Sample, SemLib};
 use apiphany_spec::{SemTy, Witness};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -51,12 +61,18 @@ fn fail<T>(reason: impl Into<String>) -> Result<T, ReFailure> {
 /// The `null` a projection of an absent field borrows.
 static NULL: Value = Value::Null;
 
+/// The empty array a false guard or an empty bind borrows.
+static EMPTY: Value = Value::Array(Vec::new());
+
+/// The evaluation budget of one round, in evaluated nodes.
+const FUEL: usize = 200_000;
+
 /// Witness positions for fast exact / approximate matching. It depends
 /// only on the witness set, so an engine builds one when it is
 /// constructed and every session borrows it
 /// ([`ReContext::with_index`]). Building it copies no values: it costs
-/// one canonical-argument string per witness plus the map entries,
-/// 0.08–0.15 ms per Table 2 API (release build, 2-CPU Xeon).
+/// one exact-match key per witness plus the map entries, 0.08–0.15 ms
+/// per Table 2 API (release build, 2-CPU Xeon).
 #[derive(Debug, Clone)]
 pub struct WitnessIndex {
     /// Per method name: its witnesses' positions.
@@ -68,7 +84,7 @@ pub struct WitnessIndex {
 /// One method's witness positions, in witness order.
 #[derive(Debug, Clone, Default)]
 struct MethodIndex {
-    /// Exact: canonical args (see [`canonical_args`]) → positions.
+    /// Exact: the key of the arguments (see [`write_key`]) → positions.
     exact: HashMap<String, Vec<u32>>,
     /// Approximate: sorted arg names → positions (a method has only a few
     /// distinct argument-name sets, so a list beats hashing).
@@ -82,7 +98,11 @@ impl WitnessIndex {
         for (pos, w) in witnesses.iter().enumerate() {
             let pos = u32::try_from(pos).expect("fewer than 2^32 witnesses");
             let index = methods.entry(w.method.clone()).or_default();
-            let key = canonical_args(w.args.iter().map(|(name, v)| (name.as_str(), v)));
+            let mut args: Vec<(&str, Val<'_>)> =
+                w.args.iter().map(|(name, v)| (name.as_str(), Val::Ref(v))).collect();
+            args.sort_by(|a, b| a.0.cmp(b.0));
+            let mut key = String::new();
+            write_key(&mut key, args.iter().map(|(name, v)| (*name, v)));
             index.exact.entry(key).or_default().push(pos);
             let names = w.arg_names();
             match index.by_names.iter_mut().find(|(n, _)| *n == names) {
@@ -93,6 +113,20 @@ impl WitnessIndex {
             }
         }
         WitnessIndex { methods, n_witnesses: witnesses.len() }
+    }
+}
+
+/// Writes the exact-match key of an argument record whose arguments come
+/// sorted by name (stably): each argument as the name's length, the name,
+/// and the value's compact JSON. The length prefix and the
+/// self-delimiting JSON make the key injective, so two records share a
+/// key exactly when their sorted names and printed values agree. Both
+/// [`WitnessIndex::new`] and replay write their keys here.
+fn write_key<'v, 'r: 'v>(out: &mut String, sorted: impl Iterator<Item = (&'v str, &'v Val<'r>)>) {
+    for (name, v) in sorted {
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{}:{name}", name.len());
+        v.write_json(out);
     }
 }
 
@@ -136,6 +170,11 @@ impl<'a> ReContext<'a> {
     /// different lazy samples and approximate matches (RE is
     /// non-deterministic by design; a fixed seed is reproducible).
     ///
+    /// The candidate is compiled for this one round, which shares the
+    /// witnesses' values; the owned result is copied out of them once, at
+    /// the end. [`cost_of`](crate::cost_of) compiles once for all its
+    /// rounds and copies nothing.
+    ///
     /// # Errors
     ///
     /// Returns [`ReFailure`] when a call has no witness, a projection is
@@ -146,56 +185,293 @@ impl<'a> ReContext<'a> {
         query: &Query,
         seed: u64,
     ) -> Result<Value, ReFailure> {
-        self.eval(program, query, seed).map(Cow::into_owned)
+        self.compile(program, query).round(seed).map(|v| v.to_value())
     }
 
-    /// [`ReContext::run`] without the final copy: the result may borrow
-    /// a witness output.
-    pub(crate) fn eval(
-        &self,
-        program: &Program,
-        query: &Query,
-        seed: u64,
-    ) -> Result<Cow<'a, Value>, ReFailure> {
-        let mut eval = Eval {
-            ctx: self,
-            params: &query.params,
-            env: HashMap::new(),
+    /// Compiles a candidate for rounds against this context.
+    pub(crate) fn compile<'r>(&'r self, program: &'r Program, query: &'r Query) -> Compiled<'r> {
+        let mut compiler =
+            Compiler { index: &self.index, params: &query.params, slots: Vec::new() };
+        let root = compiler.node(&program.body);
+        Compiled { semlib: self.semlib, witnesses: self.witnesses, slots: compiler.slots, root }
+    }
+}
+
+/// A candidate compiled for rounds of RE against one context and query.
+pub(crate) struct Compiled<'r> {
+    semlib: &'r SemLib,
+    witnesses: &'r [Witness],
+    /// One slot per variable name: the environment `Σ` maps names, so a
+    /// binder reuses its name's slot, as a map insert would.
+    slots: Vec<Slot<'r>>,
+    root: Node<'r>,
+}
+
+/// A variable name, with its type if it names a program input.
+#[derive(Clone, Copy)]
+struct Slot<'r> {
+    name: &'r str,
+    /// `Γ(x)`: the semantic type of the query parameter of this name (the
+    /// last declaration wins, as in a map built from the parameter list).
+    input: Option<&'r SemTy>,
+}
+
+/// An expression with its variables resolved to slots.
+enum Node<'r> {
+    Var(usize),
+    Proj(Box<Node<'r>>, &'r str),
+    Call(Box<CallSite<'r>>),
+    Let(usize, Box<Node<'r>>, Box<Node<'r>>),
+    Bind(usize, Box<Node<'r>>, Box<Node<'r>>),
+    Guard(Box<Node<'r>>, Box<Node<'r>>, Box<Node<'r>>),
+    Return(Box<Node<'r>>),
+    Record(Vec<(&'r str, Node<'r>)>),
+}
+
+/// A method call with its witness lookups resolved.
+struct CallSite<'r> {
+    method: &'r str,
+    /// The arguments' names and expressions, in evaluation order.
+    args: Vec<(&'r str, Node<'r>)>,
+    /// Argument positions in key order: sorted by name, stably.
+    key_order: Vec<usize>,
+    /// The method's witness positions; `None` when no witness calls it.
+    index: Option<&'r MethodIndex>,
+    /// Approximate-match positions: the method's witnesses with exactly
+    /// these argument names.
+    by_names: Option<&'r [u32]>,
+}
+
+struct Compiler<'r> {
+    index: &'r WitnessIndex,
+    params: &'r [(String, SemTy)],
+    slots: Vec<Slot<'r>>,
+}
+
+impl<'r> Compiler<'r> {
+    fn slot(&mut self, name: &'r str) -> usize {
+        if let Some(slot) = self.slots.iter().position(|s| s.name == name) {
+            return slot;
+        }
+        let input = self.params.iter().rev().find(|(n, _)| n == name).map(|(_, ty)| ty);
+        self.slots.push(Slot { name, input });
+        self.slots.len() - 1
+    }
+
+    fn node(&mut self, e: &'r Expr) -> Node<'r> {
+        match e {
+            Expr::Var(x) => Node::Var(self.slot(x)),
+            Expr::Proj(base, label) => Node::Proj(Box::new(self.node(base)), label),
+            Expr::Call(method, args) => Node::Call(Box::new(self.call(method, args))),
+            Expr::Let(x, rhs, body) => {
+                Node::Let(self.slot(x), Box::new(self.node(rhs)), Box::new(self.node(body)))
+            }
+            Expr::Bind(x, rhs, body) => {
+                Node::Bind(self.slot(x), Box::new(self.node(rhs)), Box::new(self.node(body)))
+            }
+            Expr::Guard(lhs, rhs, body) => Node::Guard(
+                Box::new(self.node(lhs)),
+                Box::new(self.node(rhs)),
+                Box::new(self.node(body)),
+            ),
+            Expr::Return(inner) => Node::Return(Box::new(self.node(inner))),
+            Expr::Record(fields) => {
+                Node::Record(fields.iter().map(|(name, v)| (name.as_str(), self.node(v))).collect())
+            }
+        }
+    }
+
+    fn call(&mut self, method: &'r str, args: &'r [(String, Expr)]) -> CallSite<'r> {
+        let mut key_order: Vec<usize> = (0..args.len()).collect();
+        key_order.sort_by(|&a, &b| args[a].0.cmp(&args[b].0));
+        let index = self.index.methods.get(method);
+        let by_names = index.and_then(|index| {
+            let names = key_order.iter().map(|&i| args[i].0.as_str());
+            index
+                .by_names
+                .iter()
+                .find(|(n, _)| n.iter().map(String::as_str).eq(names.clone()))
+                .map(|(_, positions)| positions.as_slice())
+        });
+        let args = args.iter().map(|(name, a)| (name.as_str(), self.node(a))).collect();
+        CallSite { method, args, key_order, index, by_names }
+    }
+}
+
+impl<'r> Compiled<'r> {
+    /// Runs one round with the given seed.
+    pub(crate) fn round(&self, seed: u64) -> Result<Val<'r>, ReFailure> {
+        let mut round = Round {
+            prog: self,
+            env: vec![None; self.slots.len()],
             rng: StdRng::seed_from_u64(seed),
-            fuel: 200_000,
+            fuel: FUEL,
+            key: String::new(),
         };
-        eval.eval(&program.body)
+        round.eval(&self.root)
     }
 }
 
-/// Canonical form of an argument record for exact matching: the
-/// arguments sorted by name (stably), each written as the name's length,
-/// the name, and the value's compact JSON. The length prefix and the
-/// self-delimiting JSON make the form injective, so two records share a
-/// key exactly when their sorted names and printed values agree.
-fn canonical_args<'v>(args: impl Iterator<Item = (&'v str, &'v Value)>) -> String {
-    let mut sorted: Vec<(&str, &Value)> = args.collect();
-    sorted.sort_by(|a, b| a.0.cmp(b.0));
-    let mut out = String::new();
-    for (name, v) in sorted {
-        // Writing to a `String` cannot fail.
-        let _ = write!(out, "{}:{name}", name.len());
-        v.write_json(&mut out);
-    }
-    out
+/// A value in a round. Cloning one copies a reference or bumps a count.
+#[derive(Debug, Clone)]
+pub(crate) enum Val<'r> {
+    /// A value in the witnesses or the value bank.
+    Ref(&'r Value),
+    /// An array the program built.
+    Arr(Rc<[Val<'r>]>),
+    /// A record the program built, its fields in literal order.
+    Rec(Rc<[(&'r str, Val<'r>)]>),
 }
 
-struct Eval<'a, 'p> {
-    ctx: &'p ReContext<'a>,
-    /// `Γ`: the (semantic) types of the program parameters.
-    params: &'p [(String, SemTy)],
-    /// `Σ`: the environment.
-    env: HashMap<&'p str, Cow<'a, Value>>,
+impl<'r> Val<'r> {
+    /// The array of `items`.
+    fn array(items: Vec<Val<'r>>) -> Val<'r> {
+        if items.is_empty() {
+            Val::Ref(&EMPTY)
+        } else {
+            Val::Arr(items.into())
+        }
+    }
+
+    /// A sampled input, its bank values still borrowed.
+    fn sampled(s: Sample<'r>) -> Val<'r> {
+        match s {
+            Sample::Bank(v) => Val::Ref(v),
+            Sample::Array(items) => Val::Arr(items.into_iter().map(Val::sampled).collect()),
+            Sample::Record(fields) => {
+                Val::Rec(fields.into_iter().map(|(name, v)| (name, Val::sampled(v))).collect())
+            }
+        }
+    }
+
+    fn is_null(&self) -> bool {
+        matches!(self, Val::Ref(Value::Null))
+    }
+
+    /// The length of an array, `None` for any other value.
+    pub(crate) fn array_len(&self) -> Option<usize> {
+        match self {
+            Val::Ref(v) => v.as_array().map(<[Value]>::len),
+            Val::Arr(items) => Some(items.len()),
+            Val::Rec(_) => None,
+        }
+    }
+
+    /// Field `label` of an object (`null` when absent) or of `null`
+    /// (`null`); `None` for any other value.
+    fn field(&self, label: &str) -> Option<Val<'r>> {
+        match self {
+            Val::Ref(v @ Value::Object(_)) => Some(Val::Ref(v.get(label).unwrap_or(&NULL))),
+            Val::Rec(fields) => Some(field_of(fields, label).cloned().unwrap_or(Val::Ref(&NULL))),
+            v if v.is_null() => Some(Val::Ref(&NULL)),
+            _ => None,
+        }
+    }
+
+    /// The owned value.
+    fn to_value(&self) -> Value {
+        match self {
+            Val::Ref(v) => (*v).clone(),
+            Val::Arr(items) => Value::Array(items.iter().map(Val::to_value).collect()),
+            Val::Rec(fields) => Value::Object(
+                fields.iter().map(|(name, v)| ((*name).to_string(), v.to_value())).collect(),
+            ),
+        }
+    }
+
+    /// Appends the compact JSON [`Value::write_json`] writes for the
+    /// owned value.
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Val::Ref(v) => v.write_json(out),
+            Val::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write_json(out);
+                }
+                out.push(']');
+            }
+            Val::Rec(fields) => {
+                out.push('{');
+                for (i, (name, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_json_string(out, name);
+                    out.push(':');
+                    v.write_json(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    /// Equality with an owned value, by [`Value`]'s rules.
+    fn eq_value(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Val::Ref(v), _) => *v == other,
+            (Val::Arr(items), Value::Array(others)) => {
+                items.len() == others.len() && items.iter().zip(others).all(|(a, b)| a.eq_value(b))
+            }
+            (Val::Rec(fields), Value::Object(others)) => {
+                fields.len() == others.len()
+                    && fields.iter().all(|(k, v)| other.get(k).is_some_and(|w| v.eq_value(w)))
+                    && others
+                        .iter()
+                        .all(|(k, w)| field_of(fields, k).is_some_and(|v| v.eq_value(w)))
+            }
+            _ => false,
+        }
+    }
+}
+
+/// The first field named `label` of a built record.
+fn field_of<'v, 'r>(fields: &'v [(&'r str, Val<'r>)], label: &str) -> Option<&'v Val<'r>> {
+    fields.iter().find(|(k, _)| *k == label).map(|(_, v)| v)
+}
+
+/// Equality by [`Value`]'s rules (objects compare key-order-insensitively),
+/// whether each side is borrowed or built.
+impl PartialEq for Val<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Val::Ref(a), Val::Ref(b)) => a == b,
+            (Val::Ref(v), built) | (built, Val::Ref(v)) => built.eq_value(v),
+            (Val::Arr(a), Val::Arr(b)) => a == b,
+            (Val::Rec(a), Val::Rec(b)) => {
+                a.len() == b.len()
+                    && a.iter().all(|(k, v)| field_of(b, k).is_some_and(|w| v == w))
+                    && b.iter().all(|(k, w)| field_of(a, k).is_some_and(|v| v == w))
+            }
+            _ => false,
+        }
+    }
+}
+
+/// The owned value's compact JSON, as [`Value`]'s `Display` prints it.
+impl fmt::Display for Val<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        f.write_str(&out)
+    }
+}
+
+/// One round of a compiled candidate.
+struct Round<'c, 'r> {
+    prog: &'c Compiled<'r>,
+    /// `Σ`: the environment, by slot.
+    env: Vec<Option<Val<'r>>>,
     rng: StdRng,
     fuel: usize,
+    /// The buffer call keys are written to.
+    key: String,
 }
 
-impl<'a, 'p> Eval<'a, 'p> {
+impl<'c, 'r> Round<'c, 'r> {
     fn spend(&mut self) -> Result<(), ReFailure> {
         if self.fuel == 0 {
             return fail("evaluation budget exhausted");
@@ -204,39 +480,23 @@ impl<'a, 'p> Eval<'a, 'p> {
         Ok(())
     }
 
-    /// The semantic type of program parameter `x` (the last declaration
-    /// wins, as in a map built from the parameter list).
-    fn param_ty(&self, x: &str) -> Option<&'p SemTy> {
-        self.params.iter().rev().find(|(n, _)| n == x).map(|(_, ty)| ty)
-    }
-
-    /// Is `e` a program input that has not been assigned yet?
-    fn undefined_param(&self, e: &'p Expr) -> Option<&'p str> {
-        match e {
-            Expr::Var(x) if !self.env.contains_key(x.as_str()) && self.param_ty(x).is_some() => {
-                Some(x)
+    /// Is `node` a program input that has not been assigned yet?
+    fn unassigned_input(&self, node: &Node<'r>) -> Option<usize> {
+        match *node {
+            Node::Var(slot)
+                if self.env[slot].is_none() && self.prog.slots[slot].input.is_some() =>
+            {
+                Some(slot)
             }
             _ => None,
         }
     }
 
-    fn eval(&mut self, e: &'p Expr) -> Result<Cow<'a, Value>, ReFailure> {
+    fn eval(&mut self, node: &'c Node<'r>) -> Result<Val<'r>, ReFailure> {
         self.spend()?;
-        match e {
+        match node {
             // E-Var / E-Var-Lazy.
-            Expr::Var(x) => {
-                if let Some(v) = self.env.get(x.as_str()) {
-                    return Ok(v.clone());
-                }
-                let Some(ty) = self.param_ty(x) else {
-                    return fail(format!("unbound variable {x}"));
-                };
-                let Some(v) = sample_value(self.ctx.semlib, ty, &mut self.rng) else {
-                    return fail(format!("no observed values to sample input {x}"));
-                };
-                self.env.insert(x, Cow::Owned(v.clone()));
-                Ok(Cow::Owned(v))
-            }
+            Node::Var(slot) => self.var(*slot),
             // E-Projection (hasField premise). Deviation, documented in
             // DESIGN.md: projecting a *declared-but-absent* field of an
             // object yields `null` instead of failing — REST payloads are
@@ -244,67 +504,60 @@ impl<'a, 'p> Eval<'a, 'p> {
             // `item_data` or `discount_data`, never both), and the paper's
             // own benchmark 3.3/3.4 golds project such fields across mixed
             // arrays. Projection from a non-object still fails.
-            Expr::Proj(base, label) => match self.eval(base)? {
-                Cow::Borrowed(v @ Value::Object(_)) => {
-                    Ok(Cow::Borrowed(v.get(label).unwrap_or(&NULL)))
+            Node::Proj(base, label) => {
+                let v = self.eval(base)?;
+                match v.field(label) {
+                    Some(field) => Ok(field),
+                    None => fail(format!("projection .{label} from non-object value {v}")),
                 }
-                Cow::Owned(Value::Object(fields)) => Ok(Cow::Owned(
-                    fields.into_iter().find(|(k, _)| k == label).map_or(Value::Null, |f| f.1),
-                )),
-                v if v.is_null() => Ok(Cow::Borrowed(&NULL)),
-                other => fail(format!("projection .{label} from non-object value {other}")),
-            },
+            }
             // E-Bind-Pure.
-            Expr::Let(x, rhs, body) => {
+            Node::Let(slot, rhs, body) => {
                 let v = self.eval(rhs)?;
-                self.env.insert(x, v);
+                self.env[*slot] = Some(v);
                 let out = self.eval(body);
-                self.env.remove(x.as_str());
+                self.env[*slot] = None;
                 out
             }
             // E-Bind-Monad: concatenate per-element results. `null`
             // iterates as the empty array (tagged-union tolerance, see the
             // projection rule above).
-            Expr::Bind(x, rhs, body) => {
+            Node::Bind(slot, rhs, body) => {
                 let mut out = Vec::new();
                 match self.eval(rhs)? {
-                    Cow::Borrowed(Value::Array(items)) => {
+                    Val::Ref(Value::Array(items)) => {
                         for item in items {
-                            self.bind_one(x, Cow::Borrowed(item), body, &mut out)?;
+                            self.bind_one(*slot, Val::Ref(item), body, &mut out)?;
                         }
                     }
-                    Cow::Owned(Value::Array(items)) => {
-                        for item in items {
-                            self.bind_one(x, Cow::Owned(item), body, &mut out)?;
+                    Val::Arr(items) => {
+                        for item in items.iter() {
+                            self.bind_one(*slot, item.clone(), body, &mut out)?;
                         }
                     }
                     v if v.is_null() => {}
                     _ => return fail("monadic bind over non-array value"),
                 }
-                self.env.remove(x.as_str());
-                Ok(Cow::Owned(Value::Array(out)))
+                self.env[*slot] = None;
+                Ok(Val::array(out))
             }
             // E-Return.
-            Expr::Return(inner) => {
-                Ok(Cow::Owned(Value::Array(vec![self.eval(inner)?.into_owned()])))
-            }
+            Node::Return(inner) => Ok(Val::Arr(Rc::new([self.eval(inner)?]))),
             // Guards: E-If-True-L / E-If-True-R / E-If-True-LR / E-If-False,
             // generalized from variables to operand expressions (gold
             // programs write `if c.name = channel_name`).
-            Expr::Guard(lhs, rhs, body) => {
-                let l_lazy = self.undefined_param(lhs);
-                let r_lazy = self.undefined_param(rhs);
-                match (l_lazy, r_lazy) {
+            Node::Guard(lhs, rhs, body) => {
+                match (self.unassigned_input(lhs), self.unassigned_input(rhs)) {
                     // E-If-True-L: left defined, right lazy.
                     (None, Some(x2)) => {
                         let v1 = self.eval(lhs)?;
-                        self.env.insert(x2, v1);
+                        self.env[x2] = Some(v1);
                         self.eval(body)
                     }
                     // E-If-True-R: left lazy (right defined or lazy).
                     (Some(x1), _) => {
                         let v2 = self.eval(rhs)?;
-                        self.env.insert(x1, v2);
+                        self.env[x1] = Some(v2);
                         self.eval(body)
                     }
                     // E-If-True-LR / E-If-False.
@@ -314,43 +567,59 @@ impl<'a, 'p> Eval<'a, 'p> {
                         if v1 == v2 {
                             self.eval(body)
                         } else {
-                            Ok(Cow::Owned(Value::Array(Vec::new())))
+                            Ok(Val::Ref(&EMPTY))
                         }
                     }
                 }
             }
             // E-Method + E-Method-Val / E-Method-Name.
-            Expr::Call(method, args) => {
-                let mut arg_values = Vec::with_capacity(args.len());
-                for (name, a) in args {
-                    arg_values.push((name.as_str(), self.eval(a)?));
+            Node::Call(site) => {
+                let mut args = Vec::with_capacity(site.args.len());
+                for (_, a) in &site.args {
+                    args.push(self.eval(a)?);
                 }
-                self.replay(method, &arg_values)
+                self.replay(site, &args)
             }
-            Expr::Record(fields) => {
+            Node::Record(fields) => {
                 let mut out = Vec::with_capacity(fields.len());
                 for (name, v) in fields {
-                    out.push((name.clone(), self.eval(v)?.into_owned()));
+                    out.push((*name, self.eval(v)?));
                 }
-                Ok(Cow::Owned(Value::Object(out)))
+                Ok(Val::Rec(out.into()))
             }
         }
     }
 
-    /// One element of a monadic bind: binds `x` to `item`, evaluates
-    /// `body`, and appends its array to `out` (copying the elements only
-    /// when the body handed back a witness's array by reference).
+    /// A variable's value, sampling an unassigned program input.
+    fn var(&mut self, slot: usize) -> Result<Val<'r>, ReFailure> {
+        if let Some(v) = &self.env[slot] {
+            return Ok(v.clone());
+        }
+        let Slot { name, input } = self.prog.slots[slot];
+        let Some(ty) = input else {
+            return fail(format!("unbound variable {name}"));
+        };
+        let Some(s) = sample(self.prog.semlib, ty, &mut self.rng) else {
+            return fail(format!("no observed values to sample input {name}"));
+        };
+        let v = Val::sampled(s);
+        self.env[slot] = Some(v.clone());
+        Ok(v)
+    }
+
+    /// One element of a monadic bind: binds the slot to `item`, evaluates
+    /// `body`, and appends its array's elements to `out`.
     fn bind_one(
         &mut self,
-        x: &'p str,
-        item: Cow<'a, Value>,
-        body: &'p Expr,
-        out: &mut Vec<Value>,
+        slot: usize,
+        item: Val<'r>,
+        body: &'c Node<'r>,
+        out: &mut Vec<Val<'r>>,
     ) -> Result<(), ReFailure> {
-        self.env.insert(x, item);
+        self.env[slot] = Some(item);
         match self.eval(body)? {
-            Cow::Owned(Value::Array(mut part)) => out.append(&mut part),
-            Cow::Borrowed(Value::Array(part)) => out.extend(part.iter().cloned()),
+            Val::Ref(Value::Array(part)) => out.extend(part.iter().map(Val::Ref)),
+            Val::Arr(part) => out.extend(part.iter().cloned()),
             _ => return fail("bind body returned non-array"),
         }
         Ok(())
@@ -358,35 +627,32 @@ impl<'a, 'p> Eval<'a, 'p> {
 
     /// Replays a call: exact match first, then approximate (same method
     /// and argument names). Both may be non-deterministic.
-    fn replay(
-        &mut self,
-        method: &str,
-        args: &[(&str, Cow<'a, Value>)],
-    ) -> Result<Cow<'a, Value>, ReFailure> {
-        if let Some(index) = self.ctx.index.methods.get(method) {
-            let key = canonical_args(args.iter().map(|(name, v)| (*name, &**v)));
-            if let Some(positions) = index.exact.get(&key) {
+    fn replay(&mut self, site: &CallSite<'r>, args: &[Val<'r>]) -> Result<Val<'r>, ReFailure> {
+        let witnesses = self.prog.witnesses;
+        if let Some(index) = site.index {
+            self.key.clear();
+            write_key(&mut self.key, site.key_order.iter().map(|&i| (site.args[i].0, &args[i])));
+            if let Some(positions) = index.exact.get(self.key.as_str()) {
                 if let Some(&pos) = positions.choose(&mut self.rng) {
-                    return Ok(Cow::Borrowed(&self.ctx.witnesses[pos as usize].output));
+                    return Ok(Val::Ref(&witnesses[pos as usize].output));
                 }
             }
-            let mut names: Vec<&str> = args.iter().map(|(name, _)| *name).collect();
-            names.sort_unstable();
-            if let Some((_, positions)) = index.by_names.iter().find(|(n, _)| *n == names) {
+            if let Some(positions) = site.by_names {
                 if let Some(&pos) = positions.choose(&mut self.rng) {
-                    return Ok(Cow::Borrowed(&self.ctx.witnesses[pos as usize].output));
+                    return Ok(Val::Ref(&witnesses[pos as usize].output));
                 }
             }
         }
-        fail(format!("no witness for {method} with these argument names"))
+        fail(format!("no witness for {} with these argument names", site.method))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apiphany_json::json;
     use apiphany_lang::parse_program;
-    use apiphany_mining::{mine_types, parse_query, MiningConfig};
+    use apiphany_mining::{mine_types, parse_query, sample_value, MiningConfig};
     use apiphany_spec::fixtures::{fig4_witnesses, fig7_library};
 
     fn setup() -> (SemLib, Vec<Witness>) {
@@ -532,5 +798,155 @@ mod tests {
         let p = parse_program(r"\a b → { if a = b return a }").unwrap();
         let v = ctx.run(&p, &q, 3).unwrap();
         assert_eq!(v.as_array().unwrap().len(), 1);
+    }
+
+    /// `let all = c_list(); let copy = (c ← all; return <elem>); <body>`:
+    /// `copy` is an array the program builds from the witness array `all`.
+    fn rebuilt_channels(elem: Expr, body: Expr) -> Program {
+        let copy = Expr::var("all").bind_in("c", elem.ret());
+        let body = copy.let_in("copy", body);
+        Program::new(
+            Vec::<String>::new(),
+            Expr::call("c_list", Vec::<(String, Expr)>::new()).let_in("all", body),
+        )
+    }
+
+    fn guard(lhs: &str, rhs: &str, body: Expr) -> Expr {
+        Expr::Guard(Box::new(Expr::var(lhs)), Box::new(Expr::var(rhs)), Box::new(body))
+    }
+
+    /// A guard compares a program-built array with a witness array by
+    /// value, on either side: an element-by-element copy of `c_list()`'s
+    /// output equals it, and the array of its ids does not.
+    #[test]
+    fn guard_compares_built_and_witness_arrays() {
+        let (sl, w) = setup();
+        let ctx = ReContext::new(&sl, &w);
+        let q = parse_query(&sl, "{ } → [Channel]").unwrap();
+        let channels = w[0].output.clone();
+        for (l, r) in [("copy", "all"), ("all", "copy")] {
+            let same = rebuilt_channels(Expr::var("c"), guard(l, r, Expr::var("copy").ret()));
+            let v = ctx.run(&same, &q, 0).unwrap();
+            assert_eq!(v.to_json(), Value::Array(vec![channels.clone()]).to_json());
+            let ids =
+                rebuilt_channels(Expr::var("c").proj("id"), guard(l, r, Expr::var("copy").ret()));
+            assert_eq!(ctx.run(&ids, &q, 0).unwrap(), json!([]));
+        }
+    }
+
+    /// Projection from a record literal: a present field yields its
+    /// value, an absent one `null` (as from an object).
+    #[test]
+    fn projection_from_a_record_literal() {
+        let (sl, w) = setup();
+        let ctx = ReContext::new(&sl, &w);
+        let q = parse_query(&sl, "{ } → [Channel.name]").unwrap();
+        let project = |field: &str| {
+            let src = format!(
+                r"\ → {{ c ← c_list() let r = {{name = c.name, id = c.id}} return r.{field} }}"
+            );
+            ctx.run(&parse_program(&src).unwrap(), &q, 0).unwrap()
+        };
+        assert_eq!(project("name"), json!(["general", "private-test", "team"]));
+        assert_eq!(project("creator"), json!([null, null, null]));
+    }
+
+    /// A bind over a sampled array input (the shape of Table 2's
+    /// `user_ids: [objs_user.id]`): one call per sampled id, in order, and
+    /// the input is the array `sample_value` draws from the round's seed.
+    #[test]
+    fn bind_over_a_sampled_array_input() {
+        let (sl, w) = setup();
+        let ctx = ReContext::new(&sl, &w);
+        let q = parse_query(&sl, "{ uids: [User.id] } → [User]").unwrap();
+        let p = parse_program(r"\uids → { uid ← uids let u = u_info(user=uid) return u }").unwrap();
+        let mut lengths = Vec::new();
+        for seed in 0..10 {
+            let ids = sample_value(&sl, &q.params[0].1, &mut StdRng::seed_from_u64(seed)).unwrap();
+            let users: Vec<Value> = ids
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|id| {
+                    w.iter()
+                        .find(|x| x.method == "u_info" && x.args[0].1 == *id)
+                        .unwrap()
+                        .output
+                        .clone()
+                })
+                .collect();
+            let v = ctx.run(&p, &q, seed).unwrap();
+            assert_eq!(v.to_json(), Value::Array(users).to_json(), "seed {seed}");
+            lengths.push(v.as_array().unwrap().len());
+        }
+        assert!(lengths.iter().any(|&n| n > 1), "no seed sampled a longer array: {lengths:?}");
+    }
+
+    /// `return` builds around a witness array without copying it, and
+    /// `run` hands back the deep value.
+    #[test]
+    fn nested_returns_around_a_witness_array() {
+        let (sl, w) = setup();
+        let ctx = ReContext::new(&sl, &w);
+        let q = parse_query(&sl, "{ } → [Channel]").unwrap();
+        let p = parse_program(r"\ → { let cs = c_list() return return cs }").unwrap();
+        let v = ctx.run(&p, &q, 0).unwrap();
+        let deep = Value::Array(vec![Value::Array(vec![w[0].output.clone()])]);
+        assert_eq!(v.to_json(), deep.to_json());
+    }
+
+    /// Projecting from a built array fails, and the message prints the
+    /// array as its owned value would print.
+    #[test]
+    fn projection_failure_prints_a_built_value() {
+        let (sl, w) = setup();
+        let ctx = ReContext::new(&sl, &w);
+        let q = parse_query(&sl, "{ } → [Channel.name]").unwrap();
+        let p = rebuilt_channels(Expr::var("c").proj("id"), Expr::var("copy").proj("name"));
+        let e = ctx.run(&p, &q, 0).unwrap_err();
+        assert_eq!(
+            e.reason,
+            r#"projection .name from non-object value ["C4EFAQ5RN","C051B3Y9W","C0AE4195H"]"#
+        );
+    }
+
+    /// A record literal argument matches a witness's object argument
+    /// exactly (same key as the index wrote), never approximately.
+    #[test]
+    fn record_literal_argument_matches_exactly() {
+        let (sl, _) = setup();
+        let w = vec![
+            Witness::new("g", Vec::<(String, Value)>::new(), json!({"a": "v", "n": 1.5})),
+            Witness::new("f", [("body", json!({"a": "v", "n": 1.5}))], json!(["ok"])),
+            Witness::new("f", [("body", json!({"a": "w", "n": 1.5}))], json!(["no"])),
+        ];
+        let ctx = ReContext::new(&sl, &w);
+        let q = parse_query(&sl, "{ } → [Channel.name]").unwrap();
+        let p =
+            parse_program(r"\ → { let o = g() let r = f(body = {a = o.a, n = o.n}) r }").unwrap();
+        for seed in 0..10 {
+            assert_eq!(ctx.run(&p, &q, seed).unwrap(), json!(["ok"]), "seed {seed}");
+        }
+    }
+
+    /// A `let` binding ends with its body, as in a name-keyed
+    /// environment: inside a bind, an input the `let` shadowed is
+    /// lazily assigned again in the next iteration, so the guard holds
+    /// for every channel.
+    #[test]
+    fn let_binding_ends_with_its_body() {
+        let (sl, w) = setup();
+        let ctx = ReContext::new(&sl, &w);
+        let q = parse_query(&sl, "{ channel_name: Channel.name } → [Channel.id]").unwrap();
+        let p = parse_program(
+            r"\channel_name → {
+                c ← c_list()
+                if c.name = channel_name
+                let channel_name = c.id
+                return channel_name
+            }",
+        )
+        .unwrap();
+        assert_eq!(ctx.run(&p, &q, 0).unwrap(), json!(["C4EFAQ5RN", "C051B3Y9W", "C0AE4195H"]));
     }
 }

@@ -7,7 +7,6 @@
 
 use std::time::{Duration, Instant};
 
-use apiphany_json::Value;
 use apiphany_lang::Program;
 use apiphany_mining::Query;
 use apiphany_spec::SemTy;
@@ -64,6 +63,11 @@ impl Cost {
 }
 
 /// Runs RE `params.rounds` times and computes the paper's cost.
+///
+/// The candidate is compiled once for all its rounds (variables become
+/// slots, call sites resolve their witness lookups), and each round runs
+/// on values shared with the witnesses and the value bank. The penalties
+/// read only each round's array length, so no round's result is copied.
 pub fn cost_of(
     ctx: &ReContext<'_>,
     program: &Program,
@@ -71,14 +75,13 @@ pub fn cost_of(
     params: &CostParams,
 ) -> Cost {
     let start = Instant::now();
-    // The penalties only look at each result's shape: its array length,
-    // or `None` for a non-array. Keeping just that lets a run's result
-    // stay borrowed from the witnesses.
+    let compiled = ctx.compile(program, query);
+    // Each result's shape: its array length, or `None` for a non-array.
     let mut shapes: Vec<Option<usize>> = Vec::with_capacity(params.rounds);
     let mut n_failed = 0;
     for i in 0..params.rounds {
-        match ctx.eval(program, query, params.seed.wrapping_add(i as u64)) {
-            Ok(v) => shapes.push(v.as_array().map(<[Value]>::len)),
+        match compiled.round(params.seed.wrapping_add(i as u64)) {
+            Ok(v) => shapes.push(v.array_len()),
             Err(_) => n_failed += 1,
         }
     }
