@@ -1,8 +1,9 @@
 //! The top-level synthesis algorithm (paper Fig. 10): TTN search →
-//! `Progs(π)` → `Lift` → type check, streaming candidates to the caller.
+//! `Progs(π)` → `Lift` → canonical-form dedupe → type check, streaming
+//! candidates to the caller.
 
 use std::borrow::Cow;
-use std::collections::HashSet;
+use std::collections::hash_map::{Entry, HashMap};
 use std::time::{Duration, Instant};
 
 use apiphany_analysis::{LiveCore, SearchPlan};
@@ -16,7 +17,7 @@ use apiphany_ttn::{
 };
 
 use crate::lift::lift;
-use crate::progs::enumerate_programs;
+use crate::progs::{enumerate_programs, AnfProg};
 use crate::typecheck::type_check;
 
 /// Configuration for [`Synthesizer::synthesize`].
@@ -29,10 +30,10 @@ pub struct SynthesisConfig {
     pub programs_per_path: usize,
     /// Worker threads for the TTN search (`1` = fully serial, the
     /// default), forwarded to [`SearchConfig::threads`] for the per-level
-    /// parallel DFS. `Progs`, lift, type check, and RE ranking run on the
-    /// calling thread. Candidates, their order, and all ranks are
-    /// identical for every value — parallelism only changes wall-clock
-    /// time.
+    /// parallel DFS. `Progs`, lift, dedupe, type check and RE ranking
+    /// run on the calling thread. Candidates, their order, and all ranks
+    /// are identical for every value — parallelism only changes
+    /// wall-clock time.
     pub threads: usize,
     /// Dead-state memo capacity forwarded to
     /// [`SearchConfig::dead_set_cap`] (`0` disables memoization).
@@ -108,11 +109,12 @@ pub struct SynthesisStats {
     pub programs: usize,
     /// Distinct well-typed candidates emitted.
     pub candidates: usize,
-    /// Programs rejected by the type checker.
+    /// Programs rejected by the type checker, counting each program whose
+    /// canonical form an earlier program already failed with.
     pub ill_typed: usize,
     /// Programs whose lifting failed (relaxation artifacts).
     pub lift_failures: usize,
-    /// Duplicates removed by canonical-form deduplication.
+    /// Well-typed programs removed by canonical-form deduplication.
     pub duplicates: usize,
     /// Whether the search space was exhausted, stopped, or timed out.
     pub outcome: Outcome,
@@ -226,7 +228,8 @@ impl Synthesizer {
         };
         let net = &*plan.net;
 
-        let mut seen: HashSet<AnfProgram> = HashSet::new();
+        // The type verdict of every canonical form seen so far.
+        let mut verdicts: HashMap<AnfProgram, bool> = HashMap::new();
         let deadline = cfg.budget.deadline_from(start);
         let max_candidates = cfg.budget.max_candidates.unwrap_or(usize::MAX);
         let search = SearchConfig {
@@ -260,19 +263,22 @@ impl Synthesizer {
                     if deadline.is_some_and(|d| Instant::now() >= d) {
                         return false;
                     }
-                    let Ok(lifted) = lift(&self.semlib, query, &anf) else {
-                        stats.lift_failures += 1;
-                        return true;
-                    };
-                    if type_check(&self.semlib, &lifted, query).is_err() {
-                        stats.ill_typed += 1;
-                        return true;
-                    }
-                    let canonical = canonicalize(&lifted);
-                    if !seen.insert(canonical.clone()) {
-                        stats.duplicates += 1;
-                        return true;
-                    }
+                    let (lifted, canonical) =
+                        match post_search(&self.semlib, query, anf, &mut verdicts) {
+                            PostSearch::LiftFailed => {
+                                stats.lift_failures += 1;
+                                return true;
+                            }
+                            PostSearch::IllTyped => {
+                                stats.ill_typed += 1;
+                                return true;
+                            }
+                            PostSearch::Duplicate => {
+                                stats.duplicates += 1;
+                                return true;
+                            }
+                            PostSearch::New(lifted, canonical) => (lifted, canonical),
+                        };
                     let candidate = Candidate {
                         program: lifted,
                         canonical,
@@ -312,6 +318,59 @@ impl Synthesizer {
             }
         };
         stats
+    }
+}
+
+/// What the post-search stages make of one program of `Progs(π)`.
+#[derive(Debug)]
+enum PostSearch {
+    LiftFailed,
+    IllTyped,
+    /// A well-typed program whose canonical form was seen before.
+    Duplicate,
+    /// A new, well-typed canonical form, with the lifted program.
+    New(Program, AnfProgram),
+}
+
+/// The post-search stages for one array-oblivious program: lift, then
+/// canonicalize, then dedupe against `verdicts`. Only a new canonical
+/// form is type-checked (and cloned); a repeated one gets the verdict
+/// its first program got.
+///
+/// That is exact, because a lifted program's verdict depends only on its
+/// canonical form. A lifted program is closed and in ANF: every operand
+/// is a variable, record arguments are let-bound, and no `let` aliases
+/// another variable. So every variable's type follows from its dataflow:
+/// a parameter's from the query, a call's from its method, a
+/// projection's from its base and label, and a `return`'s or bind's from
+/// its operand. The canonical form keeps that dataflow (statement kinds,
+/// methods, labels, argument and field names, and which variable feeds
+/// which operand) and the result. It forgets only the order of
+/// independent statements, arguments and fields, and a guard's
+/// orientation. Those change which error the checker reports first,
+/// never whether it reports one. So the `ill_typed` and `duplicates`
+/// counts equal those of type-checking every program before the dedupe.
+fn post_search(
+    semlib: &SemLib,
+    query: &Query,
+    anf: &AnfProg<'_>,
+    verdicts: &mut HashMap<AnfProgram, bool>,
+) -> PostSearch {
+    let Ok(lifted) = lift(semlib, query, anf) else {
+        return PostSearch::LiftFailed;
+    };
+    match verdicts.entry(canonicalize(&lifted)) {
+        Entry::Occupied(seen) if *seen.get() => PostSearch::Duplicate,
+        Entry::Occupied(_) => PostSearch::IllTyped,
+        Entry::Vacant(new) => {
+            if type_check(semlib, &lifted, query).is_err() {
+                new.insert(false);
+                return PostSearch::IllTyped;
+            }
+            let canonical = new.key().clone();
+            new.insert(true);
+            PostSearch::New(lifted, canonical)
+        }
     }
 }
 
@@ -508,6 +567,45 @@ mod tests {
         for c in &candidates {
             assert_eq!(c.canonical, apiphany_lang::anf::canonicalize(&c.program));
         }
+    }
+
+    /// An ill-typed program submitted twice counts as ill-typed both
+    /// times: the second gets the first's verdict, and is neither a
+    /// duplicate nor a candidate.
+    #[test]
+    fn repeated_ill_typed_programs_stay_ill_typed() {
+        use crate::progs::{AStmt, Var::X};
+        let synth = synthesizer();
+        let q = parse_query(synth.semlib(), "{ } → [Channel]").unwrap();
+        // A guard comparing a channel's name with its id lifts, but
+        // does not type-check.
+        let anf = AnfProg {
+            stmts: vec![
+                AStmt::Call { dst: X(0), method: "c_list", args: vec![] },
+                AStmt::Proj { dst: X(1), base: X(0), label: "name" },
+                AStmt::Proj { dst: X(2), base: X(0), label: "id" },
+                AStmt::Guard { lhs: X(1), rhs: X(2) },
+            ],
+            result: X(0),
+        };
+        let lifted = lift(synth.semlib(), &q, &anf).unwrap();
+        let e = type_check(synth.semlib(), &lifted, &q).unwrap_err();
+        assert!(e.message.starts_with("guard compares"), "{e}");
+        let mut verdicts = HashMap::new();
+        for _ in 0..2 {
+            let step = post_search(synth.semlib(), &q, &anf, &mut verdicts);
+            assert!(matches!(step, PostSearch::IllTyped), "{step:?}");
+        }
+        assert_eq!(verdicts.len(), 1);
+
+        // Without the guard it is well typed: new, then a duplicate.
+        let anf = AnfProg { stmts: anf.stmts[..1].to_vec(), result: X(0) };
+        let step = post_search(synth.semlib(), &q, &anf, &mut verdicts);
+        let PostSearch::New(program, canonical) = step else { panic!("{step:?}") };
+        assert_eq!(canonical, canonicalize(&program));
+        let step = post_search(synth.semlib(), &q, &anf, &mut verdicts);
+        assert!(matches!(step, PostSearch::Duplicate), "{step:?}");
+        assert_eq!(verdicts.len(), 2);
     }
 
     #[test]

@@ -13,8 +13,16 @@
 //!    ([`enumerate_programs`]);
 //! 4. `Lift(Λ̂, ŝ, E)` — insertion of monadic binds and returns
 //!    ([`lift`]);
-//! 5. the semantic type check (Fig. 16) as the final gate
-//!    ([`type_check`]).
+//! 5. deduplication by canonical form
+//!    ([`apiphany_lang::anf::canonicalize`]);
+//! 6. the semantic type check (Fig. 16) as the final gate
+//!    ([`type_check`]), run once per new canonical form: a lifted
+//!    program's verdict depends only on its canonical form, so a
+//!    repeated form reuses the first one's verdict.
+//!
+//! Steps 3–6 work on numbered variables and borrowed types; strings are
+//! allocated only for the lifted [`Program`](apiphany_lang::Program) and
+//! its canonical form.
 //!
 //! ```
 //! use apiphany_mining::{mine_types, parse_query, MiningConfig};
@@ -44,10 +52,11 @@
 mod engine;
 mod lift;
 mod progs;
+mod ty;
 mod typecheck;
 
 pub use apiphany_ttn::{Budget, CancelToken, InvalidBudget};
 pub use engine::{Candidate, Outcome, SynthEvent, SynthesisConfig, SynthesisStats, Synthesizer};
 pub use lift::{lift, LiftError};
-pub use progs::{enumerate_programs, AStmt, AnfProg, ArgValue};
-pub use typecheck::{check, type_check, TypeError};
+pub use progs::{enumerate_programs, AStmt, AnfProg, ArgValue, Var};
+pub use typecheck::{type_check, TypeError};

@@ -7,334 +7,352 @@
 //! path over a pool of *tokens*, each carrying the variable that produced
 //! it, and enumerate all injective assignments of tokens to the consuming
 //! slots of every firing.
+//!
+//! The replay formats no names and clones no strings. Variables are
+//! numbered ([`Var`]), statements borrow method names, labels and
+//! argument names from the net, and every emitted program is a view of
+//! the one statement stack the replay grows and shrinks. [`crate::lift`]
+//! prints the names.
 
 use apiphany_ttn::{Firing, ParamSpec, PlaceId, TransKind, Ttn};
+
+/// A variable of an array-oblivious program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Var {
+    /// The query's `i`-th parameter.
+    Param(usize),
+    /// `xₙ`: the value of the path's `n`-th binding statement (from 0).
+    X(usize),
+}
 
 /// An argument value in an ANF call: a variable or a record literal of
 /// variables (for record-typed parameters flattened into the net).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ArgValue {
+pub enum ArgValue<'a> {
     /// A plain variable.
-    Var(String),
+    Var(Var),
     /// A record literal `{field = var, ...}`.
-    Record(Vec<(String, String)>),
+    Record(Vec<(&'a str, Var)>),
 }
 
 /// One array-oblivious ANF statement.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AStmt {
+pub enum AStmt<'a> {
     /// `let dst = method(name = arg, ...)`.
     Call {
         /// Bound variable.
-        dst: String,
+        dst: Var,
         /// Method name.
-        method: String,
+        method: &'a str,
         /// Named arguments.
-        args: Vec<(String, ArgValue)>,
+        args: Vec<(&'a str, ArgValue<'a>)>,
     },
     /// `let dst = base.label`.
     Proj {
         /// Bound variable.
-        dst: String,
+        dst: Var,
         /// Base variable.
-        base: String,
+        base: Var,
         /// Field label.
-        label: String,
+        label: &'a str,
     },
     /// `if lhs = rhs`.
     Guard {
         /// Left operand.
-        lhs: String,
+        lhs: Var,
         /// Right operand.
-        rhs: String,
+        rhs: Var,
     },
 }
 
 /// An array-oblivious ANF program: statements plus the result variable.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AnfProg {
+pub struct AnfProg<'a> {
     /// The statements, in order.
-    pub stmts: Vec<AStmt>,
+    pub stmts: Vec<AStmt<'a>>,
     /// The variable whose value the program returns.
-    pub result: String,
+    pub result: Var,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Token {
     place: PlaceId,
-    var: String,
+    var: Var,
 }
 
 /// Enumerates the ANF programs of one path. `params` are the query's
-/// parameter names with their (downgraded) places. At most `cap` programs
-/// are emitted; `emit` returns `false` to stop early.
+/// parameters, in order, with their (downgraded) places; the programs
+/// name them [`Var::Param`] by position. At most `cap` programs are
+/// emitted; `emit` returns `false` to stop early.
 ///
 /// Returns `false` if `emit` stopped the enumeration.
-pub fn enumerate_programs(
-    net: &Ttn,
+pub fn enumerate_programs<'n>(
+    net: &'n Ttn,
     path: &[Firing],
     params: &[(String, PlaceId)],
     cap: usize,
-    emit: &mut dyn FnMut(AnfProg) -> bool,
+    emit: &mut dyn FnMut(&AnfProg<'n>) -> bool,
 ) -> bool {
-    let mut tokens: Vec<Token> = params
-        .iter()
-        .map(|(name, place)| Token { place: *place, var: name.clone() })
-        .collect();
-    let mut stmts = Vec::new();
-    let mut budget = cap;
-    step(net, path, 0, &mut tokens, &mut stmts, 0, &mut budget, emit)
+    let mut replay = Replay {
+        net,
+        path,
+        tokens: params
+            .iter()
+            .enumerate()
+            .map(|(i, &(_, place))| Token { place, var: Var::Param(i) })
+            .collect(),
+        removed: Vec::new(),
+        prog: AnfProg { stmts: Vec::new(), result: Var::Param(0) },
+        budget: cap,
+        emit,
+    };
+    replay.step(0, 0)
 }
 
-/// Recursive replay; returns `false` to abort the whole enumeration.
-#[allow(clippy::too_many_arguments)]
-fn step(
-    net: &Ttn,
-    path: &[Firing],
-    idx: usize,
-    tokens: &mut Vec<Token>,
-    stmts: &mut Vec<AStmt>,
-    next_var: usize,
-    budget: &mut usize,
-    emit: &mut dyn FnMut(AnfProg) -> bool,
-) -> bool {
-    if *budget == 0 {
-        return true;
+/// The replay state of one path.
+struct Replay<'n, 'e> {
+    net: &'n Ttn,
+    path: &'e [Firing],
+    tokens: Vec<Token>,
+    /// Tokens a call consumed, with their positions, until it is undone.
+    removed: Vec<(usize, Token)>,
+    /// The statements so far; the result is set when a program is emitted.
+    prog: AnfProg<'n>,
+    budget: usize,
+    emit: &'e mut dyn FnMut(&AnfProg<'n>) -> bool,
+}
+
+impl<'n> Replay<'n, '_> {
+    /// Whether token `i` is at `place` and no earlier token there carries
+    /// the same variable (choices differing only in such a token denote
+    /// the same program).
+    fn first_at(&self, i: usize, place: PlaceId) -> bool {
+        let t = self.tokens[i];
+        t.place == place && !self.tokens[..i].iter().any(|u| u.place == place && u.var == t.var)
     }
-    if idx == path.len() {
-        // A valid path's final marking holds exactly one token (the
-        // program result); anything else is a caller error — skip quietly.
-        if tokens.len() != 1 {
+
+    /// Replays firing `idx` onwards, binding `x{next}` next; returns
+    /// `false` to abort the whole enumeration.
+    fn step(&mut self, idx: usize, next: usize) -> bool {
+        if self.budget == 0 {
             return true;
         }
-        let prog = AnfProg { stmts: stmts.clone(), result: tokens[0].var.clone() };
-        *budget = budget.saturating_sub(1);
-        return emit(prog);
-    }
-    let firing = &path[idx];
-    let trans = net.transition(firing.trans);
-    match &trans.kind {
-        TransKind::Copy { place } => {
-            // Choose which token to duplicate (distinct variables only).
-            let mut tried: Vec<String> = Vec::new();
-            for i in 0..tokens.len() {
-                if tokens[i].place != *place || tried.contains(&tokens[i].var) {
-                    continue;
-                }
-                tried.push(tokens[i].var.clone());
-                let dup = tokens[i].clone();
-                tokens.push(dup);
-                let ok = step(net, path, idx + 1, tokens, stmts, next_var, budget, emit);
-                tokens.pop();
-                if !ok {
-                    return false;
-                }
+        if idx == self.path.len() {
+            // A valid path's final marking holds exactly one token (the
+            // program result); anything else is a caller error — skip quietly.
+            if self.tokens.len() != 1 {
+                return true;
             }
-            true
+            self.prog.result = self.tokens[0].var;
+            self.budget -= 1;
+            return (self.emit)(&self.prog);
         }
-        TransKind::Proj { base, label } => {
-            let out_place = trans.outputs[0].0;
-            let mut tried: Vec<String> = Vec::new();
-            for i in 0..tokens.len() {
-                if tokens[i].place != *base || tried.contains(&tokens[i].var) {
-                    continue;
-                }
-                tried.push(tokens[i].var.clone());
-                let base_var = tokens[i].var.clone();
-                let dst = format!("x{next_var}");
-                let removed = tokens.remove(i);
-                tokens.push(Token { place: out_place, var: dst.clone() });
-                stmts.push(AStmt::Proj { dst, base: base_var, label: label.clone() });
-                let ok = step(net, path, idx + 1, tokens, stmts, next_var + 1, budget, emit);
-                stmts.pop();
-                tokens.pop();
-                tokens.insert(i, removed);
-                if !ok {
-                    return false;
-                }
-            }
-            true
-        }
-        TransKind::Filter { base, path: proj_path } => {
-            let key_place = trans
-                .inputs
-                .iter()
-                .find(|&&(p, _)| p != *base)
-                .map(|&(p, _)| p)
-                .unwrap_or(*base);
-            // Choose the base token and the key token (distinct indices).
-            let mut tried: Vec<(String, String)> = Vec::new();
-            for bi in 0..tokens.len() {
-                if tokens[bi].place != *base {
-                    continue;
-                }
-                for ki in 0..tokens.len() {
-                    if ki == bi || tokens[ki].place != key_place {
+        let net = self.net;
+        let firing = &self.path[idx];
+        let trans = net.transition(firing.trans);
+        match &trans.kind {
+            TransKind::Copy { place } => {
+                // Choose which token to duplicate (distinct variables only).
+                for i in 0..self.tokens.len() {
+                    if !self.first_at(i, *place) {
                         continue;
                     }
-                    let pair = (tokens[bi].var.clone(), tokens[ki].var.clone());
-                    if tried.contains(&pair) {
-                        continue;
-                    }
-                    tried.push(pair.clone());
-                    let (base_var, key_var) = pair;
-                    // Remove key and base (higher index first), keep base's
-                    // variable alive on the produced token.
-                    let (hi, lo) = if bi > ki { (bi, ki) } else { (ki, bi) };
-                    let t_hi = tokens.remove(hi);
-                    let t_lo = tokens.remove(lo);
-                    tokens.push(Token { place: *base, var: base_var.clone() });
-                    // Expand filter into projection steps plus the guard.
-                    let mut fresh = next_var;
-                    let mut cur = base_var.clone();
-                    let n_stmts_before = stmts.len();
-                    for label in proj_path {
-                        let dst = format!("x{fresh}");
-                        fresh += 1;
-                        stmts.push(AStmt::Proj {
-                            dst: dst.clone(),
-                            base: cur.clone(),
-                            label: label.clone(),
-                        });
-                        cur = dst;
-                    }
-                    stmts.push(AStmt::Guard { lhs: cur, rhs: key_var });
-                    let ok = step(net, path, idx + 1, tokens, stmts, fresh, budget, emit);
-                    stmts.truncate(n_stmts_before);
-                    tokens.pop();
-                    tokens.insert(lo, t_lo);
-                    tokens.insert(hi, t_hi);
+                    self.tokens.push(self.tokens[i]);
+                    let ok = self.step(idx + 1, next);
+                    self.tokens.pop();
                     if !ok {
                         return false;
                     }
                 }
+                true
             }
-            true
-        }
-        TransKind::Method(name) => {
-            // Build the slot list: required params plus the chosen optional
-            // params (per-place counts from the firing).
-            let required: Vec<&ParamSpec> =
-                trans.params.iter().filter(|p| !p.optional).collect();
-            let mut optional_choices: Vec<Vec<&ParamSpec>> = vec![Vec::new()];
-            for (oi, &(place, _)) in trans.optionals.iter().enumerate() {
-                let count = firing.optional_taken.get(oi).copied().unwrap_or(0) as usize;
-                if count == 0 {
-                    continue;
+            TransKind::Proj { base, label } => {
+                let out_place = trans.outputs[0].0;
+                for i in 0..self.tokens.len() {
+                    if !self.first_at(i, *base) {
+                        continue;
+                    }
+                    let dst = Var::X(next);
+                    let removed = self.tokens.remove(i);
+                    self.tokens.push(Token { place: out_place, var: dst });
+                    self.prog.stmts.push(AStmt::Proj { dst, base: removed.var, label });
+                    let ok = self.step(idx + 1, next + 1);
+                    self.prog.stmts.pop();
+                    self.tokens.pop();
+                    self.tokens.insert(i, removed);
+                    if !ok {
+                        return false;
+                    }
                 }
-                let pool: Vec<&ParamSpec> = trans
-                    .params
+                true
+            }
+            TransKind::Filter { base, path: proj_path } => {
+                let key_place = trans
+                    .inputs
                     .iter()
-                    .filter(|p| p.optional && p.place == place)
-                    .collect();
-                let combos = combinations(&pool, count);
-                let mut extended = Vec::new();
-                for prefix in &optional_choices {
-                    for combo in &combos {
-                        let mut v = prefix.clone();
-                        v.extend(combo.iter().copied());
-                        extended.push(v);
+                    .find(|&&(p, _)| p != *base)
+                    .map(|&(p, _)| p)
+                    .unwrap_or(*base);
+                // Choose the base token and the key token (distinct indices).
+                let mut tried: Vec<(Var, Var)> = Vec::new();
+                for bi in 0..self.tokens.len() {
+                    if self.tokens[bi].place != *base {
+                        continue;
+                    }
+                    for ki in 0..self.tokens.len() {
+                        if ki == bi || self.tokens[ki].place != key_place {
+                            continue;
+                        }
+                        let pair = (self.tokens[bi].var, self.tokens[ki].var);
+                        if tried.contains(&pair) {
+                            continue;
+                        }
+                        tried.push(pair);
+                        let (base_var, key_var) = pair;
+                        // Remove key and base (higher index first), keep base's
+                        // variable alive on the produced token.
+                        let (hi, lo) = if bi > ki { (bi, ki) } else { (ki, bi) };
+                        let t_hi = self.tokens.remove(hi);
+                        let t_lo = self.tokens.remove(lo);
+                        self.tokens.push(Token { place: *base, var: base_var });
+                        // Expand filter into projection steps plus the guard.
+                        let mut fresh = next;
+                        let mut cur = base_var;
+                        let n_stmts_before = self.prog.stmts.len();
+                        for label in proj_path {
+                            let dst = Var::X(fresh);
+                            fresh += 1;
+                            self.prog.stmts.push(AStmt::Proj { dst, base: cur, label });
+                            cur = dst;
+                        }
+                        self.prog.stmts.push(AStmt::Guard { lhs: cur, rhs: key_var });
+                        let ok = self.step(idx + 1, fresh);
+                        self.prog.stmts.truncate(n_stmts_before);
+                        self.tokens.pop();
+                        self.tokens.insert(lo, t_lo);
+                        self.tokens.insert(hi, t_hi);
+                        if !ok {
+                            return false;
+                        }
                     }
                 }
-                optional_choices = extended;
+                true
             }
-            let out_place = trans.outputs[0].0;
-            for opt_slots in &optional_choices {
-                let mut slots: Vec<&ParamSpec> = required.clone();
-                slots.extend(opt_slots.iter().copied());
+            TransKind::Method(name) => {
+                // Build the slot list: required params plus the chosen optional
+                // params (per-place counts from the firing).
+                let required: Vec<&'n ParamSpec> =
+                    trans.params.iter().filter(|p| !p.optional).collect();
+                let mut optional_choices: Vec<Vec<&'n ParamSpec>> = vec![Vec::new()];
+                for (oi, &(place, _)) in trans.optionals.iter().enumerate() {
+                    let count = firing.optional_taken.get(oi).copied().unwrap_or(0) as usize;
+                    if count == 0 {
+                        continue;
+                    }
+                    let pool: Vec<&'n ParamSpec> = trans
+                        .params
+                        .iter()
+                        .filter(|p| p.optional && p.place == place)
+                        .collect();
+                    let combos = combinations(&pool, count);
+                    let mut extended = Vec::new();
+                    for prefix in &optional_choices {
+                        for combo in &combos {
+                            let mut v = prefix.clone();
+                            v.extend(combo.iter().copied());
+                            extended.push(v);
+                        }
+                    }
+                    optional_choices = extended;
+                }
+                let out_place = trans.outputs[0].0;
                 let mut assignment: Vec<usize> = Vec::new();
-                if !assign_slots(
-                    net, path, idx, tokens, stmts, next_var, budget, emit, name, &slots,
-                    &mut assignment, out_place,
-                ) {
-                    return false;
+                for opt_slots in &optional_choices {
+                    let mut slots: Vec<&'n ParamSpec> = required.clone();
+                    slots.extend(opt_slots.iter().copied());
+                    if !self.assign_slots(idx, next, name, &slots, &mut assignment, out_place) {
+                        return false;
+                    }
                 }
+                true
             }
-            true
         }
     }
-}
 
-/// Enumerates injective token assignments for the call's slots, then emits
-/// the call statement and recurses.
-#[allow(clippy::too_many_arguments)]
-fn assign_slots(
-    net: &Ttn,
-    path: &[Firing],
-    idx: usize,
-    tokens: &mut Vec<Token>,
-    stmts: &mut Vec<AStmt>,
-    next_var: usize,
-    budget: &mut usize,
-    emit: &mut dyn FnMut(AnfProg) -> bool,
-    method: &str,
-    slots: &[&ParamSpec],
-    assignment: &mut Vec<usize>,
-    out_place: PlaceId,
-) -> bool {
-    if assignment.len() == slots.len() {
-        // All slots assigned: build the call.
-        let dst = format!("x{next_var}");
-        let mut args: Vec<(String, ArgValue)> = Vec::new();
-        for (slot_idx, spec) in slots.iter().enumerate() {
-            let var = tokens[assignment[slot_idx]].var.clone();
-            match &spec.record_field {
-                None => args.push((spec.arg_name.clone(), ArgValue::Var(var))),
-                Some(field) => {
-                    // Accumulate record fields under one argument name.
-                    if let Some((_, ArgValue::Record(fields))) =
-                        args.iter_mut().find(|(n, v)| {
-                            n == &spec.arg_name && matches!(v, ArgValue::Record(_))
-                        })
-                    {
-                        fields.push((field.clone(), var));
-                    } else {
-                        args.push((
-                            spec.arg_name.clone(),
-                            ArgValue::Record(vec![(field.clone(), var)]),
-                        ));
+    /// Enumerates injective token assignments for the call's slots, then
+    /// emits the call statement and recurses.
+    fn assign_slots(
+        &mut self,
+        idx: usize,
+        next: usize,
+        method: &'n str,
+        slots: &[&'n ParamSpec],
+        assignment: &mut Vec<usize>,
+        out_place: PlaceId,
+    ) -> bool {
+        if assignment.len() == slots.len() {
+            // All slots assigned: build the call.
+            let dst = Var::X(next);
+            let mut args: Vec<(&'n str, ArgValue<'n>)> = Vec::with_capacity(slots.len());
+            for (&spec, &i) in slots.iter().zip(assignment.iter()) {
+                let var = self.tokens[i].var;
+                match &spec.record_field {
+                    None => args.push((&spec.arg_name, ArgValue::Var(var))),
+                    Some(field) => {
+                        // Accumulate record fields under one argument name.
+                        if let Some((_, ArgValue::Record(fields))) =
+                            args.iter_mut().find(|(n, v)| {
+                                *n == spec.arg_name && matches!(v, ArgValue::Record(_))
+                            })
+                        {
+                            fields.push((field, var));
+                        } else {
+                            args.push((&spec.arg_name, ArgValue::Record(vec![(field, var)])));
+                        }
                     }
                 }
             }
+            // Remove consumed tokens (largest index first), produce the result.
+            let mark = self.removed.len();
+            for i in (0..self.tokens.len()).rev() {
+                if assignment.contains(&i) {
+                    let t = self.tokens.remove(i);
+                    self.removed.push((i, t));
+                }
+            }
+            self.tokens.push(Token { place: out_place, var: dst });
+            self.prog.stmts.push(AStmt::Call { dst, method, args });
+            let ok = self.step(idx + 1, next + 1);
+            self.prog.stmts.pop();
+            self.tokens.pop();
+            while self.removed.len() > mark {
+                let (i, t) = self.removed.pop().expect("above the mark");
+                self.tokens.insert(i, t);
+            }
+            return ok;
         }
-        // Remove consumed tokens (largest index first), produce the result.
-        let mut consumed: Vec<usize> = assignment.clone();
-        consumed.sort_unstable_by(|a, b| b.cmp(a));
-        let mut removed: Vec<(usize, Token)> = Vec::new();
-        for &i in &consumed {
-            removed.push((i, tokens.remove(i)));
+        let spec = slots[assignment.len()];
+        for i in 0..self.tokens.len() {
+            let t = self.tokens[i];
+            if t.place != spec.place || assignment.contains(&i) {
+                continue;
+            }
+            // Skip a variable an earlier free token already offered.
+            if (0..i).any(|j| {
+                let u = self.tokens[j];
+                u.place == spec.place && u.var == t.var && !assignment.contains(&j)
+            }) {
+                continue;
+            }
+            assignment.push(i);
+            let ok = self.assign_slots(idx, next, method, slots, assignment, out_place);
+            assignment.pop();
+            if !ok {
+                return false;
+            }
         }
-        tokens.push(Token { place: out_place, var: dst.clone() });
-        stmts.push(AStmt::Call { dst, method: method.to_string(), args });
-        let ok = step(net, path, idx + 1, tokens, stmts, next_var + 1, budget, emit);
-        stmts.pop();
-        tokens.pop();
-        for (i, t) in removed.into_iter().rev() {
-            tokens.insert(i, t);
-        }
-        return ok;
+        true
     }
-    let spec = slots[assignment.len()];
-    let mut tried: Vec<String> = Vec::new();
-    for i in 0..tokens.len() {
-        if tokens[i].place != spec.place || assignment.contains(&i) {
-            continue;
-        }
-        if tried.contains(&tokens[i].var) {
-            continue;
-        }
-        tried.push(tokens[i].var.clone());
-        assignment.push(i);
-        let ok = assign_slots(
-            net, path, idx, tokens, stmts, next_var, budget, emit, method, slots, assignment,
-            out_place,
-        );
-        assignment.pop();
-        if !ok {
-            return false;
-        }
-    }
-    true
 }
 
 /// All `k`-element combinations of a slice (preserving order).
@@ -381,7 +399,7 @@ mod tests {
         enumerate_paths(&net, &init, &fin, &cfg, &mut |path| {
             if path.len() == 7 {
                 enumerate_programs(&net, path, &params, 16, &mut |p| {
-                    programs.push(p);
+                    programs.push(p.clone());
                     true
                 });
             }
@@ -389,13 +407,19 @@ mod tests {
         });
         assert_eq!(programs.len(), 1, "the length-7 path denotes one program");
         let p = &programs[0];
+        let name = |v: &Var| match *v {
+            Var::Param(i) => params[i].0.clone(),
+            Var::X(n) => format!("x{n}"),
+        };
         let rendered: Vec<String> = p
             .stmts
             .iter()
             .map(|s| match s {
-                AStmt::Call { dst, method, .. } => format!("{dst}={method}(..)"),
-                AStmt::Proj { dst, base, label } => format!("{dst}={base}.{label}"),
-                AStmt::Guard { lhs, rhs } => format!("if {lhs}={rhs}"),
+                AStmt::Call { dst, method, .. } => format!("{}={method}(..)", name(dst)),
+                AStmt::Proj { dst, base, label } => {
+                    format!("{}={}.{label}", name(dst), name(base))
+                }
+                AStmt::Guard { lhs, rhs } => format!("if {}={}", name(lhs), name(rhs)),
             })
             .collect();
         assert_eq!(
@@ -411,7 +435,7 @@ mod tests {
                 "x6=x5.email",
             ]
         );
-        assert_eq!(p.result, "x6");
+        assert_eq!(p.result, Var::X(6));
     }
 
     #[test]
@@ -446,7 +470,7 @@ mod tests {
             seen += 1;
             for s in &p.stmts {
                 if let AStmt::Proj { base, .. } = s {
-                    assert_eq!(base, "c", "all projections start from the copied var");
+                    assert_eq!(*base, Var::Param(0), "all projections start from the copied var");
                 }
             }
             true

@@ -1,17 +1,30 @@
 //! The semantic typing judgment `Λ̂; Γ ⊢ e :: t̂` (paper Fig. 16,
 //! Appendix B).
 //!
-//! Every candidate produced by lifting is checked against the query type
-//! before being reported: this is also where paths admitted by the relaxed
-//! ILP encoding ("the path is simply rejected by the type checker when
-//! converted into a program", Appendix B.2) are filtered out.
+//! [`type_check`] is the final gate of the synthesis pipeline: a lifted
+//! program is reported only if it checks against the query type. Lifting
+//! already inserts the binds and returns the rules ask for, so the check
+//! rejects few programs: none of a depth-4 pass over Table 2, and at
+//! greater depths calls that miss a required argument. The synthesizer
+//! runs it once per new canonical form, not once per program (see
+//! `Synthesizer::synthesize`). The relaxed ILP encoding, whose paths
+//! "simply [get] rejected by the type checker" (Appendix B.2), survives
+//! only as a test oracle for the DFS search, so no such path reaches the
+//! checker.
+//!
+//! The checker allocates little. Γ is a stack of bindings, pushed at each
+//! binder and popped after its body; lookups scan from the top, so an
+//! inner binding shadows an outer one. Types are borrowed from the query
+//! and the library, and an array type that `return` builds is a count of
+//! array layers around a borrowed type (`crate::ty::Ty`).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use apiphany_lang::{Expr, Program};
 use apiphany_mining::{Query, SemLib};
-use apiphany_spec::{SemRecordTy, SemTy};
+use apiphany_spec::{SemFieldTy, SemRecordTy, SemTy};
+
+use crate::ty::{core, Ty};
 
 /// A type error with a human-readable description.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,6 +45,9 @@ fn err<T>(message: impl Into<String>) -> Result<T, TypeError> {
     Err(TypeError { message: message.into() })
 }
 
+/// `Γ`: the bindings in scope, innermost last.
+type Env<'p, 'a> = Vec<(&'p str, Ty<'a>)>;
+
 /// Checks `Λ̂ ⊢ E :: ŝ` for the query type `ŝ` (T-Top), with the output
 /// array-adjusted exactly as in lifting.
 ///
@@ -42,59 +58,51 @@ pub fn type_check(semlib: &SemLib, program: &Program, query: &Query) -> Result<(
     if program.params.len() != query.params.len() {
         return err("parameter count differs from query");
     }
-    let mut env: HashMap<String, SemTy> = HashMap::new();
+    let mut env: Env = Vec::with_capacity(program.params.len() + 8);
     for (name, (qname, ty)) in program.params.iter().zip(&query.params) {
         if name != qname {
             return err(format!("parameter {name} does not match query parameter {qname}"));
         }
-        env.insert(name.clone(), ty.clone());
+        env.push((name, Ty::of(ty)));
     }
     let expected = match &query.output {
-        t @ SemTy::Array(_) => t.clone(),
-        t => SemTy::array(t.clone()),
+        t @ SemTy::Array(_) => Ty::of(t),
+        t => Ty::of(t).wrapped(),
     };
-    let actual = check(semlib, &env, &program.body)?;
-    if actual != expected {
+    let actual = check(semlib, &mut env, &program.body)?;
+    if !actual.same(&expected) {
         return err(format!(
             "program has type {}, query expects {}",
-            semlib.display_ty(&actual),
-            semlib.display_ty(&expected)
+            semlib.display_ty(&actual.to_sem()),
+            semlib.display_ty(&expected.to_sem())
         ));
     }
     Ok(())
 }
 
 /// Infers the semantic type of an expression (the rules of Fig. 16).
-pub fn check(
-    semlib: &SemLib,
-    env: &HashMap<String, SemTy>,
-    e: &Expr,
-) -> Result<SemTy, TypeError> {
+fn check<'p, 'a>(
+    semlib: &'a SemLib,
+    env: &mut Env<'p, 'a>,
+    e: &'p Expr,
+) -> Result<Ty<'a>, TypeError> {
     match e {
         // T-Var.
-        Expr::Var(x) => match env.get(x) {
-            Some(t) => Ok(t.clone()),
+        Expr::Var(x) => match env.iter().rev().find(|(name, _)| *name == x) {
+            Some((_, t)) => Ok(t.clone()),
             None => err(format!("unbound variable {x}")),
         },
         // T-Proj, with T-Obj folding object names to their definitions.
         Expr::Proj(base, label) => {
             let t = check(semlib, env, base)?;
-            match t {
-                SemTy::Object(o) => semlib
-                    .objects
-                    .get(&o)
-                    .and_then(|r| r.field(label))
-                    .map(|f| f.ty.clone())
-                    .map_or_else(|| err(format!("object {o} has no field {label}")), Ok),
-                SemTy::Record(r) => r
-                    .field(label)
-                    .map(|f| f.ty.clone())
-                    .map_or_else(|| err(format!("record has no field {label}")), Ok),
-                other => err(format!(
-                    "projection .{label} from non-object type {}",
-                    semlib.display_ty(&other)
-                )),
-            }
+            t.field(semlib, label).map_err(|e| TypeError {
+                message: e.unwrap_or_else(|| {
+                    format!(
+                        "projection .{label} from non-object type {}",
+                        semlib.display_ty(&t.to_sem())
+                    )
+                }),
+            })
         }
         // T-Call: all required arguments present, all provided arguments
         // declared with matching types.
@@ -116,83 +124,85 @@ pub fn check(
                 };
                 check_against(semlib, env, value, &field.ty)?;
             }
-            Ok(sig.response.clone())
+            Ok(Ty::of(&sig.response))
         }
         // T-Let.
         Expr::Let(x, rhs, body) => {
             let t = check(semlib, env, rhs)?;
-            let mut env2 = env.clone();
-            env2.insert(x.clone(), t);
-            check(semlib, &env2, body)
+            env.push((x, t));
+            let body_t = check(semlib, env, body);
+            env.pop();
+            body_t
         }
         // T-Bind: both sides must have array types.
         Expr::Bind(x, rhs, body) => {
-            let t = check(semlib, env, rhs)?;
-            let SemTy::Array(elem) = t else {
-                return err(format!(
-                    "monadic bind over non-array type {}",
-                    semlib.display_ty(&t)
-                ));
+            let elem = match check(semlib, env, rhs)?.elem() {
+                Ok(elem) => elem,
+                Err(t) => {
+                    return err(format!(
+                        "monadic bind over non-array type {}",
+                        semlib.display_ty(&t.to_sem())
+                    ))
+                }
             };
-            let mut env2 = env.clone();
-            env2.insert(x.clone(), *elem);
-            let body_t = check(semlib, &env2, body)?;
-            match body_t {
-                SemTy::Array(_) => Ok(body_t),
-                other => err(format!(
-                    "bind body must have array type, got {}",
-                    semlib.display_ty(&other)
-                )),
-            }
+            env.push((x, elem));
+            let body_t = check(semlib, env, body);
+            env.pop();
+            array_body(semlib, body_t?, "bind")
         }
         // T-If: operands share one loc-set type; body is an array.
         Expr::Guard(lhs, rhs, body) => {
             let lt = check(semlib, env, lhs)?;
             let rt = check(semlib, env, rhs)?;
-            if !lt.is_group() || lt != rt {
+            if !lt.is_group() || !lt.same(&rt) {
                 return err(format!(
                     "guard compares {} with {}",
-                    semlib.display_ty(&lt),
-                    semlib.display_ty(&rt)
+                    semlib.display_ty(&lt.to_sem()),
+                    semlib.display_ty(&rt.to_sem())
                 ));
             }
             let body_t = check(semlib, env, body)?;
-            match body_t {
-                SemTy::Array(_) => Ok(body_t),
-                other => err(format!(
-                    "guard body must have array type, got {}",
-                    semlib.display_ty(&other)
-                )),
-            }
+            array_body(semlib, body_t, "guard")
         }
         // T-Ret.
-        Expr::Return(inner) => Ok(SemTy::array(check(semlib, env, inner)?)),
+        Expr::Return(inner) => Ok(check(semlib, env, inner)?.wrapped()),
         // Record literals are only typeable against a declared record (see
         // `check_against`); a free-standing record gets a structural type.
         Expr::Record(fields) => {
             let mut r = SemRecordTy::default();
             for (name, v) in fields {
-                r.fields.push(apiphany_spec::SemFieldTy {
+                r.fields.push(SemFieldTy {
                     name: name.clone(),
                     optional: false,
-                    ty: check(semlib, env, v)?,
+                    ty: check(semlib, env, v)?.to_sem(),
                 });
             }
-            Ok(SemTy::Record(r))
+            Ok(Ty::owned(SemTy::Record(r)))
         }
     }
+}
+
+/// The body of a bind or guard must have an array type.
+fn array_body<'a>(semlib: &SemLib, body_t: Ty<'a>, what: &str) -> Result<Ty<'a>, TypeError> {
+    if body_t.is_array() {
+        return Ok(body_t);
+    }
+    err(format!(
+        "{what} body must have array type, got {}",
+        semlib.display_ty(&body_t.to_sem())
+    ))
 }
 
 /// Checks an argument expression against a declared parameter type.
 /// Record literals are checked field-wise against declared record types
 /// (field names must be declared, types must match).
-fn check_against(
-    semlib: &SemLib,
-    env: &HashMap<String, SemTy>,
-    value: &Expr,
+fn check_against<'p, 'a>(
+    semlib: &'a SemLib,
+    env: &mut Env<'p, 'a>,
+    value: &'p Expr,
     declared: &SemTy,
 ) -> Result<(), TypeError> {
-    if let (Expr::Record(fields), SemTy::Record(decl)) = (value, &declared.downgrade()) {
+    if let (Expr::Record(fields), SemTy::Record(decl)) = (value, core(declared)) {
         for (name, v) in fields {
             let Some(field) = decl.field(name) else {
                 return err(format!("record literal has undeclared field {name}"));
@@ -202,14 +212,24 @@ fn check_against(
         return Ok(());
     }
     let actual = check(semlib, env, value)?;
-    if !arg_compatible(&actual, declared) {
+    let (base, wraps) = actual.parts();
+    if !compatible(base, wraps, declared) {
         return err(format!(
             "argument has type {}, declared {}",
-            semlib.display_ty(&actual),
+            semlib.display_ty(&actual.to_sem()),
             semlib.display_ty(declared)
         ));
     }
     Ok(())
+}
+
+/// [`arg_compatible`] for `wraps` array layers around `base`.
+fn compatible(base: &SemTy, wraps: usize, declared: &SemTy) -> bool {
+    match (wraps, declared) {
+        (0, _) => arg_compatible(base, declared),
+        (_, SemTy::Array(d)) => compatible(base, wraps - 1, d),
+        _ => false,
+    }
 }
 
 /// Structural compatibility of an argument type with a declared parameter
