@@ -1,11 +1,14 @@
 //! Pins retrospective execution on the paper's tasks, in two sections:
 //! every Table 2 query at depth 3, then 1.1–1.3 at depth 6 (the `deep`
 //! workload's candidates; only these reach nested binds, `return` of a
-//! witness array and guards that set lazy inputs). Queries run serially.
-//! For each candidate, in generation order, its RE cost parts (`base`,
-//! `penalty`, `n_failed`, `n_empty`) and a digest of the values its
-//! rounds return, and each query's final rank order, must equal the
-//! table checked in beside this file, `re_pin_table2.txt`.
+//! witness array and guards that set lazy inputs). For each candidate, in
+//! generation order, its RE cost parts (`base`, `penalty`, `n_failed`,
+//! `n_empty`) and a digest of the values its rounds return, and each
+//! query's final rank order, must equal the table checked in beside this
+//! file, `re_pin_table2.txt`. The queries run serially and again on two
+//! threads, and both runs must produce that one table: the thread count
+//! is not part of it. Only the depth-6 section starts the search's worker
+//! team; a search below depth 4 runs serially whatever the thread count.
 //!
 //! Any change to RE's value handling, witness indexing or RNG draws that
 //! alters a single round's outcome shows up here as a changed line. When
@@ -52,22 +55,27 @@ fn values_digest(ctx: &ReContext<'_>, program: &Program, query: &Query, rounds: 
     hash
 }
 
-/// A header line per section (`# depth <d>: <title>`), one line per
-/// candidate (`<id> <gen> <base> <penalty> <n_failed> <n_empty>
-/// <digest>`) and one rank line per query (`<id> rank <gen>...`, best
-/// first).
-fn observed_table() -> String {
-    let prepared: Vec<(Api, Prepared)> = Api::ALL
+/// Every API's engine, prepared once for all the tables a test builds.
+fn prepare_apis() -> Vec<(Api, Prepared)> {
+    Api::ALL
         .into_iter()
         .map(|api| (api, prepare_api(api, &default_analyze_config())))
-        .collect();
+        .collect()
+}
+
+/// The table the current code produces with the search on `threads`
+/// threads: a header line per section (`# depth <d>: <title>`), one line
+/// per candidate (`<id> <gen> <base> <penalty> <n_failed> <n_empty>
+/// <digest>`) and one rank line per query (`<id> rank <gen>...`, best
+/// first).
+fn observed_table(prepared: &[(Api, Prepared)], threads: usize) -> String {
     let mut out = String::new();
     for (title, depth, ids) in SECTIONS {
         writeln!(out, "# depth {depth}: {title}").unwrap();
         let mut cfg = RunConfig::default();
         cfg.synthesis.budget = Budget::depth(depth);
-        cfg.synthesis.threads = 1;
-        for (api, prepared) in &prepared {
+        cfg.synthesis.threads = threads;
+        for (api, prepared) in prepared {
             let engine = &prepared.engine;
             let ctx = ReContext::new(engine.semlib(), engine.witnesses());
             let pinned = benchmarks()
@@ -112,27 +120,30 @@ fn observed_table() -> String {
 #[test]
 fn re_costs_and_ranks_match_the_pinned_table2_table() {
     let expected = std::fs::read_to_string(table_path()).expect("pinned table is checked in");
-    let observed = observed_table();
-    let mismatches: Vec<String> = expected
-        .lines()
-        .zip(observed.lines())
-        .filter(|(e, o)| e != o)
-        .take(10)
-        .map(|(e, o)| format!("  expected `{e}`\n  observed `{o}`"))
-        .collect();
-    assert!(
-        mismatches.is_empty() && expected.lines().count() == observed.lines().count(),
-        "RE diverged from the pinned table ({} expected lines, {} observed); first \
-         differences:\n{}",
-        expected.lines().count(),
-        observed.lines().count(),
-        mismatches.join("\n")
-    );
+    let prepared = prepare_apis();
+    for threads in [1, 2] {
+        let observed = observed_table(&prepared, threads);
+        let mismatches: Vec<String> = expected
+            .lines()
+            .zip(observed.lines())
+            .filter(|(e, o)| e != o)
+            .take(10)
+            .map(|(e, o)| format!("  expected `{e}`\n  observed `{o}`"))
+            .collect();
+        assert!(
+            mismatches.is_empty() && expected.lines().count() == observed.lines().count(),
+            "the table at {threads} search threads diverged from the pinned one ({} expected \
+             lines, {} observed); first differences:\n{}",
+            expected.lines().count(),
+            observed.lines().count(),
+            mismatches.join("\n")
+        );
+    }
 }
 
-/// Rewrites the pinned table from the current code.
+/// Rewrites the pinned table from the current code, searching serially.
 #[test]
 #[ignore = "regenerates tests/re_pin_table2.txt; run on purpose and review the diff"]
 fn regenerate_re_pin_table() {
-    std::fs::write(table_path(), observed_table()).expect("write pinned table");
+    std::fs::write(table_path(), observed_table(&prepare_apis(), 1)).expect("write pinned table");
 }
