@@ -19,7 +19,7 @@
 //! ```
 
 use apiphany_analysis::Diagnostic;
-use apiphany_json::{parse, Value};
+use apiphany_json::{parse, write_json_string, Value};
 use apiphany_mining::{AnalyzeStats, SemLib};
 use apiphany_spec::{witnesses_from_json, witnesses_to_json, DecodeError, Witness};
 
@@ -60,8 +60,9 @@ impl AnalysisArtifact {
     /// detected on load instead of silently decoded.
     pub fn to_value(&self) -> Value {
         let mut v = self.body_value();
+        let digest = hex_digest(v.to_json().as_bytes());
         if let Value::Object(pairs) = &mut v {
-            pairs.push(("digest".into(), Value::from(self.digest().as_str())));
+            pairs.push(("digest".into(), Value::from(digest.as_str())));
         }
         v
     }
@@ -101,12 +102,21 @@ impl AnalysisArtifact {
     /// digits. Two artifacts with the same digest decode identically, so
     /// replicas sharing a cache directory can use it as a version tag.
     pub fn digest(&self) -> String {
-        format!("{:016x}", fnv1a64(self.body_value().to_json().as_bytes()))
+        hex_digest(self.body_value().to_json().as_bytes())
     }
 
-    /// Encodes the artifact to a JSON string.
+    /// Encodes the artifact to a JSON string: the bytes of
+    /// [`AnalysisArtifact::to_value`]'s JSON, with the body printed once
+    /// and its digest pair appended before the closing brace.
     pub fn to_json(&self) -> String {
-        self.to_value().to_json()
+        let mut json = self.body_value().to_json();
+        let digest = hex_digest(json.as_bytes());
+        // The body is a non-empty object, so it ends in its `}`.
+        json.pop();
+        json.push_str(",\"digest\":\"");
+        json.push_str(&digest);
+        json.push_str("\"}");
+        json
     }
 
     /// Decodes an artifact from a JSON value produced by
@@ -131,11 +141,7 @@ impl AnalysisArtifact {
         // decode without verification, but a *present* digest must match
         // — a mismatch means the file was torn mid-write or bit-rotted.
         if let Some(stored) = v.get("digest").and_then(Value::as_str) {
-            let mut body = v.clone();
-            if let Value::Object(pairs) = &mut body {
-                pairs.retain(|(k, _)| k != "digest");
-            }
-            let computed = format!("{:016x}", fnv1a64(body.to_json().as_bytes()));
+            let computed = hex_digest(body_json(v).as_bytes());
             if computed != stored {
                 return Err(DecodeError(format!(
                     "artifact: digest mismatch (stored {stored}, computed {computed})"
@@ -184,6 +190,29 @@ impl AnalysisArtifact {
     pub fn from_json(text: &str) -> Result<AnalysisArtifact, EngineError> {
         AnalysisArtifact::from_value(&parse(text)?)
     }
+}
+
+/// The compact JSON of the object `v` without its `digest` pairs — the
+/// bytes a stored digest was computed over — printed field by field
+/// into one buffer rather than from a pruned copy of the tree.
+fn body_json(v: &Value) -> String {
+    let mut out = String::from("{");
+    let fields = v.as_object().unwrap_or_default();
+    for (i, (key, value)) in fields.iter().filter(|(k, _)| k != "digest").enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_json_string(&mut out, key);
+        out.push(':');
+        value.write_json(&mut out);
+    }
+    out.push('}');
+    out
+}
+
+/// [`fnv1a64`] as the 16 hex digits an artifact's `digest` field holds.
+fn hex_digest(bytes: &[u8]) -> String {
+    format!("{:016x}", fnv1a64(bytes))
 }
 
 /// FNV-1a, 64-bit — the artifact identity hash. Not cryptographic; it

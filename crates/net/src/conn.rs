@@ -7,6 +7,8 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
 use std::path::PathBuf;
+#[cfg(unix)]
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use crate::addr::ListenAddr;
@@ -141,6 +143,12 @@ impl Listener {
     /// refuses connects — (or a non-socket file) is unlinked and
     /// rebound.
     ///
+    /// A Unix path appears only once its socket accepts: binding creates
+    /// the socket file before the socket listens, and a client that saw
+    /// the file and connected in that gap would be refused, so the socket
+    /// binds under a temporary name beside the path and is renamed onto
+    /// it.
+    ///
     /// # Errors
     ///
     /// Propagates the bind error; a live server on a `unix:` path
@@ -168,7 +176,14 @@ impl Listener {
                     // by an unclean shutdown. Reclaim the path.
                     std::fs::remove_file(path)?;
                 }
-                let listener = UnixListener::bind(path)?;
+                static BINDS: AtomicUsize = AtomicUsize::new(0);
+                let n = BINDS.fetch_add(1, Ordering::Relaxed);
+                let staging = path.with_file_name(format!(".{}.{n}", std::process::id()));
+                let listener = UnixListener::bind(&staging)?;
+                if let Err(e) = std::fs::rename(&staging, path) {
+                    let _ = std::fs::remove_file(&staging);
+                    return Err(e);
+                }
                 listener.set_nonblocking(true)?;
                 Ok(Listener::Unix { listener, path: path.clone() })
             }
@@ -267,7 +282,9 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn unix_listener_owns_and_cleans_its_socket_file() {
-        let path = std::env::temp_dir().join(format!("apiphany-net-test-{}.sock", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("apiphany-net-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("synthd.sock");
         let addr = ListenAddr::Unix(path.clone());
         // A stale file is unlinked on bind.
         std::fs::write(&path, b"stale").unwrap();
@@ -283,8 +300,13 @@ mod tests {
         let mut buf = [0u8; 2];
         server.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"hi");
+        // The socket was bound under a staging name beside the path and
+        // renamed onto it: the path is the directory's only entry.
+        let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        assert_eq!(entries, std::slice::from_ref(&path));
         drop(listener);
         assert!(!path.exists(), "socket file removed on drop");
+        let _ = std::fs::remove_dir(&dir);
     }
 
     #[cfg(unix)]

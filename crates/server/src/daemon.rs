@@ -10,8 +10,15 @@
 //! only thing that wakes the loop.
 //!
 //! **No analysis (and no other blocking work) ever runs on the loop
-//! thread.** A cold service's first query enqueues behind that service's
-//! analysis job: when the job settles, its continuation submits the
+//! thread.** Requests are decoded on the input thread their bytes arrive
+//! on ([`Decoded`]): parsing, the socket front end's auth and version
+//! checks, and resolving a `register` source — reading and decoding an
+//! `artifact_path` file, decoding an inline artifact, building a
+//! builtin. One thread reads each client, so each client's requests
+//! still reach the loop in the order it sent them, while a large
+//! artifact holds up only the client that sent it. The loop executes
+//! ready requests. A cold service's first query enqueues behind that
+//! service's analysis job: when the job settles, its continuation submits the
 //! session (on the settling worker, before the pool picks its next job),
 //! so warm queries keep streaming — by construction, not by luck — while
 //! a large service mines. The loop reports analysis jobs as
@@ -41,9 +48,8 @@ use apiphany_json::Value;
 
 use crate::proto::{
     analysis_failed_value, analysis_ready_value, analysis_started_value, cancelled_finished_value,
-    coded_error_response, error_event, error_response, event_value, job_value, lint_fields,
-    ok_response, search_stats_fields, service_info_value, Request, RegisterSource,
-    CODE_PARSE_ERROR,
+    error_event, error_response, event_value, job_value, lint_fields, ok_response,
+    search_stats_fields, service_info_value, Decoded, Request, ServiceInputs,
 };
 
 /// Configuration of one daemon run.
@@ -275,23 +281,30 @@ where
     W: Write,
 {
     let (mut daemon, tx, rx) = Daemon::new(opts);
-    // The reader thread posts each line, then `None` at EOF. It reads raw
-    // bytes: a line of invalid UTF-8 must reach the parser (to earn its
-    // parse_error reply), not kill the reader. It is detached: after a
-    // `shutdown` with the input left open it stays parked in a blocking
-    // read and exits on the next line or EOF, when its post fails.
-    // Joining it would hang `shutdown` until the client closed its pipe.
+    // The reader thread decodes each line and posts it, then `None` at
+    // EOF; blank lines are keep-alives it skips. It reads raw bytes: a
+    // line of invalid UTF-8 must reach the parser (to earn its
+    // parse_error reply), not kill the reader. It stops after posting a
+    // `shutdown`, so the lines behind it go unread. It is detached: with
+    // the input left open and no `shutdown`, it stays parked in a
+    // blocking read until the next line or EOF, when its post fails.
     std::thread::spawn(move || {
         let mut input = input;
         let mut buf = Vec::new();
         loop {
             buf.clear();
-            let line = match input.read_until(b'\n', &mut buf) {
+            let decoded = match input.read_until(b'\n', &mut buf) {
                 Ok(0) | Err(_) => None,
-                Ok(_) => Some(String::from_utf8_lossy(&buf).trim_end().to_string()),
+                Ok(_) => {
+                    let line = String::from_utf8_lossy(&buf);
+                    if line.trim().is_empty() {
+                        continue;
+                    }
+                    Some(Decoded::new(Request::parse(line.trim_end())))
+                }
             };
-            let eof = line.is_none();
-            if tx.send(Msg::Input(line)).is_err() || eof {
+            let last = matches!(decoded, None | Some(Decoded::Ready(Request::Shutdown)));
+            if tx.send(Msg::Input(decoded)).is_err() || last {
                 break;
             }
         }
@@ -312,8 +325,8 @@ struct Stdio<'a, W: Write> {
 }
 
 impl<W: Write> Transport for Stdio<'_, W> {
-    /// A request line, or `None` at EOF.
-    type Input = Option<String>;
+    /// A decoded request line, or `None` at EOF.
+    type Input = Option<Decoded>;
 
     fn emit(&mut self, _client: u64, value: &Value) -> std::io::Result<()> {
         let mut line = value.to_json();
@@ -323,27 +336,21 @@ impl<W: Write> Transport for Stdio<'_, W> {
         self.out.flush()
     }
 
-    fn input(&mut self, daemon: &mut Daemon, line: Option<String>) -> std::io::Result<()> {
+    fn input(&mut self, daemon: &mut Daemon, decoded: Option<Decoded>) -> std::io::Result<()> {
         const CLIENT: u64 = 0;
-        let Some(line) = line else {
+        let Some(decoded) = decoded else {
             self.closing = true;
             return Ok(());
         };
-        // Blank lines are keep-alives; lines after `shutdown` go unread.
-        if self.closing || line.trim().is_empty() {
-            return Ok(());
-        }
         daemon.summary.requests += 1;
-        match Request::parse(&line) {
-            Err(message) => {
-                self.emit(CLIENT, &coded_error_response(None, None, CODE_PARSE_ERROR, &message))
-            }
-            Ok(Request::Shutdown) => {
+        match decoded {
+            Decoded::Refused(reply) => self.emit(CLIENT, &reply),
+            Decoded::Ready(Request::Shutdown) => {
                 self.closing = true;
                 self.emit(CLIENT, &ok_response("shutdown", []))?;
                 daemon.cancel_all(self)
             }
-            Ok(request) => daemon.handle(self, CLIENT, request),
+            Decoded::Ready(request) => daemon.handle(self, CLIENT, request),
         }
     }
 
@@ -438,52 +445,32 @@ impl Daemon {
         }
     }
 
-    /// Handles one well-formed, non-shutdown request from `client`,
-    /// writing its response lines to `out`. Nothing here blocks:
-    /// cold-service queries are chained onto their analysis job,
-    /// registrations with `prewarm` start the job and return.
+    /// Handles one decoded, non-shutdown request from `client`, writing
+    /// its response lines to `out`. Nothing here blocks: the request
+    /// reached the loop parsed, with any artifact file already read and
+    /// decoded and any builtin already built (on its input thread), so a
+    /// registration only inserts into the catalog; cold-service queries
+    /// are chained onto their analysis job, and registrations with
+    /// `prewarm` start the job and return.
     pub(crate) fn handle(
         &mut self,
         out: &mut impl Transport,
         client: u64,
-        request: Request,
+        request: Request<ServiceInputs>,
     ) -> std::io::Result<()> {
         let op = request.op();
         match request {
             Request::Register { service, source, prewarm } => {
                 let registered = match source {
-                    RegisterSource::Builtin(name) => match crate::builtin(&name) {
-                        None => Err(format!(
-                            "unknown builtin '{name}' (available: {})",
-                            crate::BUILTIN_NAMES.join(", ")
-                        )),
-                        Some((library, witnesses)) => self
-                            .catalog
-                            .register_spec(&service, library, witnesses)
-                            .map_err(|e| e.to_string()),
-                    },
-                    RegisterSource::Artifact(artifact) => self
-                        .catalog
-                        .register_artifact(&service, *artifact)
-                        .map_err(|e| e.to_string()),
-                    RegisterSource::ArtifactPath(path) => std::fs::read_to_string(&path)
-                        .map_err(|e| format!("{}: {e}", path.display()))
-                        .and_then(|text| {
-                            apiphany_core::AnalysisArtifact::from_json(&text)
-                                .map_err(|e| format!("{}: {e}", path.display()))
-                        })
-                        .and_then(|artifact| {
-                            self.catalog
-                                .register_artifact(&service, artifact)
-                                .map_err(|e| e.to_string())
-                        }),
-                    RegisterSource::Spec { library, witnesses } => self
-                        .catalog
-                        .register_spec(&service, *library, witnesses)
-                        .map_err(|e| e.to_string()),
+                    ServiceInputs::Artifact(artifact) => {
+                        self.catalog.register_artifact(&service, *artifact)
+                    }
+                    ServiceInputs::Spec { library, witnesses } => {
+                        self.catalog.register_spec(&service, *library, witnesses)
+                    }
                 };
-                if let Err(message) = registered {
-                    return out.emit(client, &error_response(Some(op), None, &message));
+                if let Err(e) = registered {
+                    return out.emit(client, &error_response(Some(op), None, &e.to_string()));
                 }
                 let mut fields = Vec::new();
                 if prewarm {

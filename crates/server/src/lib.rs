@@ -17,9 +17,11 @@
 //! blocks on one channel that every source of work posts to — input,
 //! analysis-job continuations and transitions, and each live session's
 //! wake hook — and handles messages in posting order. Nothing blocks
-//! it: a cold service's first query enqueues behind that service's
-//! analysis job and is submitted by the job's continuation the moment it
-//! settles, so warm queries keep streaming while a large service mines.
+//! it: requests are decoded on the thread they arrive on (parsing, and
+//! reading and decoding a registered artifact file), and a cold
+//! service's first query enqueues behind that service's analysis job
+//! and is submitted by the job's continuation the moment it settles, so
+//! warm queries keep streaming while a large service mines.
 //!
 //! # The protocol, by transcript
 //!

@@ -3,7 +3,11 @@
 //! [`run_net_daemon`] serves the [`Daemon`](crate::daemon) core to many
 //! clients: it starts an [`apiphany_net::NetServer`] whose accept and
 //! reader threads post connects, frames and disconnects to the one
-//! serving loop, and this front end handles them there:
+//! serving loop, and this front end handles them there. Each frame is
+//! decoded before it is posted, on its connection's reader thread: the
+//! auth gate, the version check, request parsing and `register`
+//! resolution ([`Decoded`]) all run there, so a frame the daemon refuses
+//! never opens a file, and the loop only executes ready requests:
 //!
 //! * every accepted connection gets a `hello` frame announcing the
 //!   protocol version and this server's limits, then speaks the same ops
@@ -29,7 +33,7 @@
 
 use std::collections::HashSet;
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use apiphany_core::telemetry::{Counter, Gauge};
@@ -42,8 +46,8 @@ use apiphany_net::{
 
 use crate::daemon::{serve, Daemon, DaemonOptions, DaemonSummary, Msg, Transport};
 use crate::proto::{
-    coded_error_response, ok_response, Request, CODE_BAD_VERSION, CODE_DRAINING, CODE_OVERLOADED,
-    CODE_PARSE_ERROR, CODE_UNAUTHORIZED,
+    coded_error_response, ok_response, Decoded, Request, ServiceInputs, CODE_BAD_VERSION,
+    CODE_DRAINING, CODE_OVERLOADED, CODE_PARSE_ERROR, CODE_UNAUTHORIZED,
 };
 
 /// How often the loop checks the SIGTERM/SIGINT latch until a drain
@@ -148,7 +152,8 @@ pub fn run_net_daemon(
     term: &TermFlag,
 ) -> io::Result<NetSummary> {
     let (mut daemon, tx, rx) = Daemon::new(&opts.daemon);
-    let post: EventSink = Arc::new(move |event| tx.send(Msg::Input(event)).is_ok());
+    let gate = Gate::new(opts.auth_token.clone());
+    let post: EventSink = Arc::new(move |event| tx.send(Msg::Input(gate.input(event))).is_ok());
     let telemetry = opts.daemon.telemetry.clone();
     let mut front = Net {
         server: NetServer::start(listeners, cfg, post),
@@ -158,7 +163,6 @@ pub fn run_net_daemon(
         frames_out: telemetry.counter("net.frames_out"),
         outbox_gauge: telemetry.gauge("net.outbox_high_water"),
         telemetry,
-        authed: HashSet::new(),
         drain: Drain::Serving,
         summary: NetSummary::default(),
     };
@@ -172,6 +176,73 @@ pub fn run_net_daemon(
         front.telemetry.dump_to_stderr("drain");
     }
     Ok(NetSummary { daemon: daemon.summary, ..front.summary })
+}
+
+/// What the connection server's threads post to the serving loop: its
+/// events, with each frame already decoded by [`Gate::input`].
+enum NetInput {
+    Connected(ClientId),
+    /// One frame from an admitted connection, decoded.
+    Frame(ClientId, Decoded),
+    /// A frame from a connection that has not presented the auth token.
+    Unauthorized(ClientId),
+    Disconnected(ClientId, DisconnectReason),
+}
+
+/// The reader-side half of serving a frame, shared by every
+/// connection's reader thread: the auth gate, then the version check,
+/// then [`Decoded::new`]. Only the one thread reading a connection
+/// decodes its frames, so they reach the loop in the order it sent them.
+struct Gate {
+    auth_token: Option<String>,
+    /// Connections that have presented the token.
+    authed: Mutex<HashSet<u64>>,
+}
+
+impl Gate {
+    fn new(auth_token: Option<String>) -> Gate {
+        Gate { auth_token, authed: Mutex::new(HashSet::new()) }
+    }
+
+    /// Turns one connection-server event into the loop's input.
+    fn input(&self, event: NetEvent) -> NetInput {
+        let (client, frame) = match event {
+            NetEvent::Connected(client) => return NetInput::Connected(client),
+            NetEvent::Disconnected(client, reason) => {
+                self.authed.lock().expect("auth set lock").remove(&client.0);
+                return NetInput::Disconnected(client, reason);
+            }
+            NetEvent::BadFrame(client, err) => (client, Err(err)),
+            NetEvent::Request(client, msg) => (client, Ok(msg)),
+        };
+        if !self.admits(client, frame.as_ref().ok()) {
+            return NetInput::Unauthorized(client);
+        }
+        let refused =
+            |code, message: &str| Decoded::Refused(coded_error_response(None, None, code, message));
+        let decoded = match frame {
+            Err(err) => refused(CODE_PARSE_ERROR, &err.to_string()),
+            Ok(msg) => match check_version(&msg) {
+                Err(message) => refused(CODE_BAD_VERSION, &message),
+                Ok(()) => Decoded::new(Request::from_value(&msg)),
+            },
+        };
+        NetInput::Frame(client, decoded)
+    }
+
+    /// Whether `client` is served. A frame (`None`: one that did not
+    /// decode) carrying the token admits its whole connection; always
+    /// `true` when authentication is disabled.
+    fn admits(&self, client: ClientId, frame: Option<&Value>) -> bool {
+        let Some(token) = &self.auth_token else {
+            return true;
+        };
+        let mut authed = self.authed.lock().expect("auth set lock");
+        if frame.and_then(|msg| msg.get("auth")).and_then(Value::as_str) == Some(token.as_str()) {
+            authed.insert(client.0);
+        }
+        authed.contains(&client.0)
+    }
 }
 
 /// Where a drain stands.
@@ -197,14 +268,13 @@ struct Net<'a> {
     /// Frames actually enqueued for a live client.
     frames_out: Counter,
     outbox_gauge: Gauge,
-    authed: HashSet<u64>,
     drain: Drain,
     /// The transport's counts (the daemon core keeps its own).
     summary: NetSummary,
 }
 
 impl Transport for Net<'_> {
-    type Input = NetEvent;
+    type Input = NetInput;
 
     fn emit(&mut self, client: u64, value: &Value) -> io::Result<()> {
         if self.server.send(ClientId(client), value) {
@@ -213,9 +283,9 @@ impl Transport for Net<'_> {
         Ok(())
     }
 
-    fn input(&mut self, daemon: &mut Daemon, event: NetEvent) -> io::Result<()> {
-        match event {
-            NetEvent::Connected(client) => {
+    fn input(&mut self, daemon: &mut Daemon, input: NetInput) -> io::Result<()> {
+        match input {
+            NetInput::Connected(client) => {
                 self.summary.clients += 1;
                 self.emit(client.0, &hello_value(self.opts))?;
                 if self.closing() {
@@ -223,16 +293,7 @@ impl Transport for Net<'_> {
                 }
                 Ok(())
             }
-            NetEvent::BadFrame(client, err) => {
-                daemon.summary.requests += 1;
-                self.frames_in.inc();
-                if self.reject_unauthorized(client) {
-                    return Ok(());
-                }
-                let reply = coded_error_response(None, None, CODE_PARSE_ERROR, &err.to_string());
-                self.emit(client.0, &reply)
-            }
-            NetEvent::Disconnected(client, reason) => {
+            NetInput::Disconnected(client, reason) => {
                 if matches!(
                     reason,
                     DisconnectReason::WriteStalled | DisconnectReason::QueueOverflow
@@ -244,22 +305,22 @@ impl Transport for Net<'_> {
                     "net.disconnect",
                     [("client", client.0.to_string()), ("reason", reason.name().to_string())],
                 );
-                self.authed.remove(&client.0);
                 daemon.drop_client(client.0);
                 Ok(())
             }
-            NetEvent::Request(client, msg) => {
+            NetInput::Unauthorized(client) => {
                 daemon.summary.requests += 1;
                 self.frames_in.inc();
-                if let Some(token) = &self.opts.auth_token {
-                    if msg.get("auth").and_then(Value::as_str) == Some(token.as_str()) {
-                        self.authed.insert(client.0);
-                    }
+                self.refuse_unauthorized(client);
+                Ok(())
+            }
+            NetInput::Frame(client, decoded) => {
+                daemon.summary.requests += 1;
+                self.frames_in.inc();
+                match decoded {
+                    Decoded::Refused(reply) => self.emit(client.0, &reply),
+                    Decoded::Ready(request) => self.execute(daemon, client.0, request),
                 }
-                if self.reject_unauthorized(client) {
-                    return Ok(());
-                }
-                self.handle_frame(daemon, client.0, &msg)
             }
         }
     }
@@ -290,13 +351,9 @@ impl Transport for Net<'_> {
 }
 
 impl Net<'_> {
-    /// Sends `unauthorized` and drops the connection if `client` has not
-    /// presented the shared secret; returns whether it did so. A no-op
-    /// (returning `false`) when authentication is disabled.
-    fn reject_unauthorized(&mut self, client: ClientId) -> bool {
-        if self.opts.auth_token.is_none() || self.authed.contains(&client.0) {
-            return false;
-        }
+    /// Sends `unauthorized` to a client that has not presented the
+    /// shared secret, and drops its connection.
+    fn refuse_unauthorized(&mut self, client: ClientId) {
         self.telemetry.record(
             "net.admission",
             [("client", client.0.to_string()), ("decision", CODE_UNAUTHORIZED.to_string())],
@@ -309,7 +366,6 @@ impl Net<'_> {
         );
         let _ = self.emit(client.0, &refusal);
         self.server.close_after_flush(client);
-        true
     }
 
     /// Stops accepting and announces the drain to every connected client.
@@ -335,20 +391,15 @@ impl Net<'_> {
         self.emit(client, &coded_error_response(Some("query"), Some(id), code, message))
     }
 
-    /// Decodes and executes one framed request: version check, parse,
-    /// admission control, then the shared daemon core.
-    fn handle_frame(&mut self, daemon: &mut Daemon, client: u64, msg: &Value) -> io::Result<()> {
-        if let Err(message) = check_version(msg) {
-            return self
-                .emit(client, &coded_error_response(None, None, CODE_BAD_VERSION, &message));
-        }
-        let request = match Request::from_value(msg) {
-            Err(message) => {
-                let reply = coded_error_response(None, None, CODE_PARSE_ERROR, &message);
-                return self.emit(client, &reply);
-            }
-            Ok(request) => request,
-        };
+    /// Executes one decoded request: `shutdown` starts the drain, a
+    /// query passes admission control, and the rest goes to the shared
+    /// daemon core.
+    fn execute(
+        &mut self,
+        daemon: &mut Daemon,
+        client: u64,
+        request: Request<ServiceInputs>,
+    ) -> io::Result<()> {
         match request {
             Request::Shutdown => {
                 self.emit(client, &ok_response("shutdown", []))?;
@@ -392,5 +443,53 @@ impl Net<'_> {
             }
             other => daemon.handle(self, client, other),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::ServiceInputs;
+    use apiphany_core::Engine;
+    use apiphany_spec::fixtures::{fig4_witnesses, fig7_library};
+
+    /// With auth on, a first frame that names an artifact file without
+    /// the token is refused as `Unauthorized` by the reader-side decode,
+    /// not resolved: a resolved path reads as a ready registration (the
+    /// same frame with the token) or as a file error (a missing path).
+    #[test]
+    fn the_auth_gate_refuses_a_frame_before_resolving_its_artifact_path() {
+        let dir = std::env::temp_dir().join(format!("synthd-gate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fig7.analysis.json");
+        let artifact = Engine::from_witnesses(fig7_library(), fig4_witnesses()).save_analysis();
+        std::fs::write(&path, artifact.to_json()).unwrap();
+        let frame = |path: &std::path::Path, auth: Option<&str>| {
+            let mut msg = Value::obj([
+                ("op", Value::from("register")),
+                ("service", Value::from("fig7")),
+                ("artifact_path", Value::from(path.to_string_lossy().as_ref())),
+                ("v", Value::Int(PROTOCOL_VERSION)),
+            ]);
+            if let Some(token) = auth {
+                msg.set("auth", Value::from(token));
+            }
+            NetEvent::Request(ClientId(1), msg)
+        };
+        let gate = Gate::new(Some("sesame".to_string()));
+        for unresolved in [path.clone(), dir.join("missing.analysis.json")] {
+            assert!(matches!(
+                gate.input(frame(&unresolved, None)),
+                NetInput::Unauthorized(ClientId(1))
+            ));
+        }
+        assert!(matches!(
+            gate.input(frame(&path, Some("sesame"))),
+            NetInput::Frame(
+                ClientId(1),
+                Decoded::Ready(Request::Register { source: ServiceInputs::Artifact(_), .. })
+            )
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,7 +7,8 @@
 //! belong to, so events of concurrently running queries interleave
 //! without ambiguity. See the crate docs for a worked transcript.
 
-use std::path::PathBuf;
+use std::io::Read;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use apiphany_core::{
@@ -16,15 +17,18 @@ use apiphany_core::{
 use apiphany_core::mining::AnalyzeStats;
 use apiphany_json::Value;
 use apiphany_lang::compact;
+use apiphany_net::DEFAULT_MAX_FRAME;
 use apiphany_spec::codec::library_from_value;
 use apiphany_spec::{witnesses_from_json, Library, Witness};
 
-/// A parsed request line.
+/// A parsed request line. `S` is what a `register` carries: the
+/// [`RegisterSource`] as parsed, or the [`ServiceInputs`] that
+/// [`Request::resolve`] turns it into.
 #[derive(Debug)]
-pub enum Request {
+pub enum Request<S = RegisterSource> {
     /// Register a service under a name; with `prewarm` the analyze-once
     /// job starts immediately instead of waiting for the first query.
-    Register { service: String, source: RegisterSource, prewarm: bool },
+    Register { service: String, source: S, prewarm: bool },
     /// Open a streaming query; `id` tags every event it produces.
     Query { id: String, spec: QuerySpec },
     /// Cancel the running (or queued) query with this id.
@@ -61,6 +65,79 @@ pub enum RegisterSource {
     ArtifactPath(PathBuf),
     /// An inline spec+witnesses pair (the raw analysis inputs).
     Spec { library: Box<Library>, witnesses: Vec<Witness> },
+}
+
+/// What the catalog registers a service from: a [`RegisterSource`] with
+/// its file read and decoded, or its builtin built.
+#[derive(Debug)]
+pub enum ServiceInputs {
+    /// A decoded analysis artifact (inline or from `artifact_path`).
+    Artifact(Box<AnalysisArtifact>),
+    /// A library with its witnesses (inline, or a builtin's scenario).
+    Spec { library: Box<Library>, witnesses: Vec<Witness> },
+}
+
+/// The largest `artifact_path` file a `register` reads: the most an
+/// inline `artifact` can carry in one frame.
+const MAX_ARTIFACT_FILE: u64 = DEFAULT_MAX_FRAME as u64;
+
+impl RegisterSource {
+    /// Resolves the source into catalog inputs: reads and decodes an
+    /// `artifact_path` file, or builds a `builtin` service. The only
+    /// request step that touches the file system; the front ends run it
+    /// on the thread the request arrived on, never on the serving loop.
+    ///
+    /// # Errors
+    ///
+    /// The `register` error message: an unknown builtin, or
+    /// `"<path>: …"` for a file that cannot be read (missing, not a
+    /// regular file, over 16 MiB) or does not decode as an artifact.
+    pub fn resolve(self) -> Result<ServiceInputs, String> {
+        match self {
+            RegisterSource::Builtin(name) => match crate::builtin(&name) {
+                None => Err(format!(
+                    "unknown builtin '{name}' (available: {})",
+                    crate::BUILTIN_NAMES.join(", ")
+                )),
+                Some((library, witnesses)) => {
+                    Ok(ServiceInputs::Spec { library: Box::new(library), witnesses })
+                }
+            },
+            RegisterSource::Artifact(artifact) => Ok(ServiceInputs::Artifact(artifact)),
+            RegisterSource::ArtifactPath(path) => read_artifact(&path)
+                .map(|artifact| ServiceInputs::Artifact(Box::new(artifact)))
+                .map_err(|e| format!("{}: {e}", path.display())),
+            RegisterSource::Spec { library, witnesses } => {
+                Ok(ServiceInputs::Spec { library, witnesses })
+            }
+        }
+    }
+}
+
+/// Reads and decodes the artifact file at `path`, refusing anything but
+/// a regular file of at most [`MAX_ARTIFACT_FILE`] bytes — a device such
+/// as `/dev/zero`, or a FIFO, would never reach EOF. The type is checked
+/// before opening (opening a FIFO blocks until a writer appears), and
+/// the read stops one byte past the limit, so a file that grows after
+/// the check is still caught.
+fn read_artifact(path: &Path) -> Result<AnalysisArtifact, String> {
+    let limit = MAX_ARTIFACT_FILE;
+    let too_large = |len: u64| format!("{len} bytes is over the {limit}-byte artifact limit");
+    let meta = std::fs::metadata(path).map_err(|e| e.to_string())?;
+    if !meta.is_file() {
+        return Err("not a regular file".to_string());
+    }
+    if meta.len() > limit {
+        return Err(too_large(meta.len()));
+    }
+    let mut text = String::new();
+    std::fs::File::open(path)
+        .and_then(|file| file.take(limit + 1).read_to_string(&mut text))
+        .map_err(|e| e.to_string())?;
+    if text.len() as u64 > limit {
+        return Err(too_large(text.len() as u64));
+    }
+    AnalysisArtifact::from_json(&text).map_err(|e| e.to_string())
 }
 
 impl Request {
@@ -149,6 +226,32 @@ impl Request {
         }
     }
 
+    /// Resolves a `register` request's source ([`RegisterSource::resolve`]);
+    /// every other request passes through unchanged.
+    ///
+    /// # Errors
+    ///
+    /// The `register` error message of a source that does not resolve.
+    pub fn resolve(self) -> Result<Request<ServiceInputs>, String> {
+        Ok(match self {
+            Request::Register { service, source, prewarm } => {
+                Request::Register { service, source: source.resolve()?, prewarm }
+            }
+            Request::Query { id, spec } => Request::Query { id, spec },
+            Request::Cancel { id } => Request::Cancel { id },
+            Request::List => Request::List,
+            Request::Inspect { service } => Request::Inspect { service },
+            Request::Lint { service } => Request::Lint { service },
+            Request::Evict { service } => Request::Evict { service },
+            Request::Status => Request::Status,
+            Request::Metrics => Request::Metrics,
+            Request::DumpRecorder => Request::DumpRecorder,
+            Request::Shutdown => Request::Shutdown,
+        })
+    }
+}
+
+impl<S> Request<S> {
     /// The `op` string of this request (echoed in responses).
     pub fn op(&self) -> &'static str {
         match self {
@@ -163,6 +266,41 @@ impl Request {
             Request::Metrics => "metrics",
             Request::DumpRecorder => "dump-recorder",
             Request::Shutdown => "shutdown",
+        }
+    }
+}
+
+/// A request as a front end's input thread hands it to the serving
+/// loop: decoded there, so the loop never parses, reads a file or
+/// builds a service.
+pub(crate) enum Decoded {
+    /// Parsed and resolved: the loop executes it as it is.
+    Ready(Request<ServiceInputs>),
+    /// The reply that ends a request the loop never executes: a
+    /// `parse_error`, a `register` whose source did not resolve, or (on
+    /// sockets) a `bad_version`.
+    Refused(Value),
+}
+
+impl Decoded {
+    /// Resolves a parse result ([`Request::parse`] of a line, or
+    /// [`Request::from_value`] of a frame) into what the loop receives.
+    pub(crate) fn new(parsed: Result<Request, String>) -> Decoded {
+        let request = match parsed {
+            Ok(request) => request,
+            Err(message) => {
+                return Decoded::Refused(coded_error_response(
+                    None,
+                    None,
+                    CODE_PARSE_ERROR,
+                    &message,
+                ))
+            }
+        };
+        let op = request.op();
+        match request.resolve() {
+            Ok(ready) => Decoded::Ready(ready),
+            Err(message) => Decoded::Refused(error_response(Some(op), None, &message)),
         }
     }
 }

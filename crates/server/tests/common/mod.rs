@@ -2,9 +2,12 @@
 //! runs and the timing-free fingerprint of one query's event stream.
 
 use std::io::Cursor;
+use std::path::PathBuf;
 
+use apiphany_core::Engine;
 use apiphany_json::{parse, Value};
 use apiphany_server::{run_daemon, DaemonOptions};
+use apiphany_spec::fixtures::{fig4_witnesses, fig7_library};
 
 /// Wall-clock fields differ between any two runs of anything; everything
 /// else in an event must match bit-for-bit.
@@ -56,4 +59,27 @@ pub fn converse(script: &str, opts: &DaemonOptions) -> Vec<Value> {
 /// dedicated single-client run produces).
 pub fn dedicated_run(script: &str, slots: usize) -> Vec<Value> {
     converse(script, &DaemonOptions { slots, ..DaemonOptions::default() })
+}
+
+/// The Fig. 7 service's saved analysis artifact, as its JSON text.
+pub fn fig7_artifact_json() -> String {
+    Engine::from_witnesses(fig7_library(), fig4_witnesses()).save_analysis().to_json()
+}
+
+/// A fresh, empty directory for one test of this process.
+pub fn test_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("synthd-{test}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the test directory");
+    dir
+}
+
+/// The `register` op by `artifact_path`, as a request line.
+pub fn register_path_line(service: &str, path: &std::path::Path) -> String {
+    Value::obj([
+        ("op", Value::from("register")),
+        ("service", Value::from(service)),
+        ("artifact_path", Value::from(path.to_string_lossy().as_ref())),
+    ])
+    .to_json()
 }

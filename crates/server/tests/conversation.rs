@@ -4,9 +4,13 @@
 
 mod common;
 
+use apiphany_core::AnalysisArtifact;
 use apiphany_json::Value;
 use apiphany_server::DaemonOptions;
-use common::{converse, dedicated_run, event_stream, str_field};
+use common::{
+    converse, dedicated_run, event_stream, fig7_artifact_json, register_path_line, test_dir,
+    str_field,
+};
 
 #[test]
 fn register_query_stream_and_finish() {
@@ -397,30 +401,111 @@ fn shutdown_drains_and_terminates_every_in_flight_id() {
     assert!(!lines.iter().any(|l| str_field(l, "op") == "list"));
 }
 
+/// A saved artifact registers inline and by `artifact_path`, and a query
+/// on either streams the same events.
 #[test]
 fn artifact_registration_roundtrips_through_the_wire() {
-    use apiphany_core::Engine;
-    use apiphany_spec::fixtures::{fig4_witnesses, fig7_library};
+    const QUERY: &str = r#"{"op":"query","id":"q","service":"snap","inputs":{"channel_name":"Channel.name"},"output":"[Profile.email]","depth":7}"#;
+    let json = fig7_artifact_json();
+    let inline = Value::obj([
+        ("op", Value::from("register")),
+        ("service", Value::from("snap")),
+        ("artifact", apiphany_json::parse(&json).unwrap()),
+    ])
+    .to_json();
+    let dir = test_dir("artifact-roundtrip");
+    let path = dir.join("snap.analysis.json");
+    std::fs::write(&path, &json).unwrap();
+    let by_path = register_path_line("snap", &path);
 
-    let artifact =
-        Engine::from_witnesses(fig7_library(), fig4_witnesses()).save_analysis();
-    let script = format!(
-        "{}\n{}\n",
+    let mut streams = Vec::new();
+    for register in [inline, by_path] {
+        let lines = converse(&format!("{register}\n{QUERY}\n"), &DaemonOptions::default());
+        assert_eq!(lines[0].get("ok").and_then(Value::as_bool), Some(true), "{lines:?}");
+        let finished = lines
+            .iter()
+            .find(|l| str_field(l, "event") == "finished")
+            .expect("query finishes");
+        assert_eq!(finished.get("n_candidates").and_then(Value::as_int), Some(2));
+        streams.push(event_stream(&lines, "q"));
+    }
+    assert_eq!(streams[0], streams[1]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `register` whose `artifact_path` cannot be served gets one error
+/// reply, `"<path>: …"`, and the daemon serves on. A missing file, bad
+/// JSON and a digest mismatch give the file's I/O error or the artifact
+/// decoder's error; a directory, a device and a file over the 16 MiB
+/// frame limit are refused before any read, so none of them can stall
+/// the daemon.
+#[test]
+fn unservable_artifact_paths_get_register_errors_and_the_daemon_serves_on() {
+    let dir = test_dir("artifact-errors");
+    let error = |message: String| {
         Value::obj([
+            ("ok", Value::Bool(false)),
             ("op", Value::from("register")),
-            ("service", Value::from("snap")),
-            ("artifact", artifact.to_value()),
+            ("error", Value::from(message.as_str())),
         ])
-        .to_json(),
-        r#"{"op":"query","id":"q","service":"snap","inputs":{"channel_name":"Channel.name"},"output":"[Profile.email]","depth":7}"#,
+    };
+    let missing = dir.join("missing.analysis.json");
+    let bad_json = dir.join("bad.analysis.json");
+    std::fs::write(&bad_json, "{ not an artifact").unwrap();
+    let tampered = dir.join("tampered.analysis.json");
+    let json = fig7_artifact_json();
+    assert!(json.contains("Channel"));
+    std::fs::write(&tampered, json.replacen("Channel", "Channe1", 1)).unwrap();
+    let too_large = dir.join("sparse.analysis.json");
+    let limit = apiphany_net::DEFAULT_MAX_FRAME as u64;
+    std::fs::File::create(&too_large).unwrap().set_len(limit + 1).unwrap();
+    let decode_error = |path: &std::path::Path| {
+        let text = std::fs::read_to_string(path).unwrap();
+        let e = AnalysisArtifact::from_json(&text).unwrap_err();
+        error(format!("{}: {e}", path.display()))
+    };
+    let mut expected = vec![
+        (
+            missing.clone(),
+            error(format!(
+                "{}: {}",
+                missing.display(),
+                std::fs::read_to_string(&missing).unwrap_err()
+            )),
+        ),
+        (bad_json.clone(), decode_error(&bad_json)),
+        (tampered.clone(), decode_error(&tampered)),
+        (dir.clone(), error(format!("{}: not a regular file", dir.display()))),
+        (
+            too_large.clone(),
+            error(format!(
+                "{}: {} bytes is over the {limit}-byte artifact limit",
+                too_large.display(),
+                limit + 1
+            )),
+        ),
+    ];
+    if cfg!(unix) {
+        let zero = std::path::PathBuf::from("/dev/zero");
+        expected.push((zero.clone(), error("/dev/zero: not a regular file".to_string())));
+    }
+    assert!(str_field(&expected[2].1, "error").contains("digest mismatch"));
+
+    let mut script: String =
+        expected.iter().map(|(path, _)| register_path_line("bad", path) + "\n").collect();
+    script.push_str(
+        r#"{"op":"register","service":"demo","builtin":"fig7"}
+{"op":"query","id":"q","service":"demo","inputs":{"channel_name":"Channel.name"},"output":"[Profile.email]","depth":7}
+"#,
     );
     let lines = converse(&script, &DaemonOptions::default());
-    assert_eq!(lines[0].get("ok").and_then(Value::as_bool), Some(true));
-    let finished = lines
-        .iter()
-        .find(|l| str_field(l, "event") == "finished")
-        .expect("query finishes");
+    for (i, (path, reply)) in expected.iter().enumerate() {
+        assert_eq!(lines[i], *reply, "{}", path.display());
+    }
+    let finished = lines.last().expect("the daemon serves on");
+    assert_eq!(str_field(finished, "event"), "finished");
     assert_eq!(finished.get("n_candidates").and_then(Value::as_int), Some(2));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The `metrics` and `dump-recorder` ops over stdio, and the

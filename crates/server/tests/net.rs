@@ -25,7 +25,9 @@ use apiphany_net::{
     PROTOCOL_VERSION,
 };
 use apiphany_server::{run_net_daemon, DaemonOptions, NetOptions, NetSummary};
-use common::{dedicated_run, event_stream, str_field};
+use common::{
+    dedicated_run, event_stream, fig7_artifact_json, register_path_line, test_dir, str_field,
+};
 use proptest::prelude::*;
 
 static NEXT_SOCKET: AtomicUsize = AtomicUsize::new(0);
@@ -495,13 +497,18 @@ fn auth_token_gates_clients_and_admits_the_shared_secret() {
         ..NetOptions::default()
     });
 
-    // Missing token: refused and disconnected.
+    // Missing token: refused and disconnected, also for a first frame
+    // that names an artifact file — it is refused before the file is
+    // read, and the service never registers (the `list` below).
+    let dir = test_dir("auth");
+    let path = dir.join("anon.analysis.json");
+    std::fs::write(&path, fig7_artifact_json()).unwrap();
     let anon = Client::connect(&server.addr);
     let hello = anon.recv();
     assert_eq!(str_field(&hello, "event"), "hello");
     assert_eq!(hello.get("auth").and_then(Value::as_bool), Some(true));
     let mut anon = anon;
-    anon.send(REGISTER);
+    anon.send(&register_path_line("anon", &path));
     let refusal = anon.recv();
     assert_eq!(str_field(&refusal, "code"), "unauthorized");
     assert!(
@@ -532,8 +539,61 @@ fn auth_token_gates_clients_and_admits_the_shared_secret() {
     assert_eq!(event_stream(&lines, "q"), event_stream(&dedicated_run(
         &format!("{REGISTER}\n{}\n", email_query("q", 7)), 2), "q"),
         "an authed stream is still bit-identical to a dedicated run");
+    good.send(r#"{"op":"list"}"#);
+    let list = good.recv();
+    let services = list.get("services").and_then(Value::as_array).unwrap();
+    let names: Vec<&str> = services.iter().map(|s| str_field(s, "name")).collect();
+    assert_eq!(names, ["demo"], "no refused registration reached the catalog");
 
     server.drain();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A client registers a service by `artifact_path` and, without waiting
+/// for the reply, queries it: its own frames keep their order (reply,
+/// ack, then the dedicated-engine stream), while a second client's warm
+/// query streams unchanged beside it.
+#[test]
+fn a_path_registration_and_its_query_back_to_back_beside_a_warm_client() {
+    const COPY_QUERY: &str = r#"{"op":"query","id":"q","service":"copy","inputs":{"channel_name":"Channel.name"},"output":"[Profile.email]","depth":7}"#;
+    let json = fig7_artifact_json();
+    let dir = test_dir("back-to-back");
+    let path = dir.join("copy.analysis.json");
+    std::fs::write(&path, &json).unwrap();
+    let inline = Value::obj([
+        ("op", Value::from("register")),
+        ("service", Value::from("copy")),
+        ("artifact", parse(&json).unwrap()),
+    ]);
+    let reference = event_stream(
+        &dedicated_run(&format!("{}\n{COPY_QUERY}\n", inline.to_json()), 2),
+        "q",
+    );
+    let warm_reference = event_stream(
+        &dedicated_run(&format!("{REGISTER}\n{}\n", email_query("w", 7)), 2),
+        "w",
+    );
+
+    let server = TestServer::start_unix(NetOptions::default());
+    let mut warm = Client::connect(&server.addr);
+    warm.expect_hello();
+    register_warm(&mut warm);
+    let mut copy = Client::connect(&server.addr);
+    copy.expect_hello();
+
+    copy.send(&register_path_line("copy", &path));
+    copy.send(COPY_QUERY);
+    warm.send(&email_query("w", 7));
+    let lines = copy.recv_until(finished("q"));
+    assert_eq!(str_field(&lines[0], "op"), "register");
+    assert_eq!(lines[0].get("ok").and_then(Value::as_bool), Some(true), "{lines:?}");
+    assert_eq!(str_field(&lines[1], "op"), "query");
+    assert_eq!(str_field(&lines[1], "analysis"), "copy", "queued behind the copy's analysis");
+    assert_eq!(event_stream(&lines, "q"), reference);
+    assert_eq!(event_stream(&warm.recv_until(finished("w")), "w"), warm_reference);
+
+    server.drain();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The `metrics` and `dump-recorder` ops over the socket: after a warm

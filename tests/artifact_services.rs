@@ -19,6 +19,15 @@ fn roundtrip(name: &str, library: apiphany_repro::spec::Library, witnesses: Vec<
     let engine = mined_engine(library, witnesses);
     let artifact = engine.save_analysis().named(name);
     let json = artifact.to_json();
+    // `to_json` prints the body once and appends the digest pair; the
+    // bytes are exactly those of the encoded value.
+    assert_eq!(json, artifact.to_value().to_json(), "{name}");
+    // One changed byte of the body fails the digest check.
+    let service = format!("\"service\":\"{name}\"");
+    let tampered = json.replacen(&service, &format!("\"service\":\"{name}X\""), 1);
+    assert_ne!(tampered, json, "{name}");
+    let err = apiphany_repro::core::AnalysisArtifact::from_json(&tampered).unwrap_err();
+    assert!(err.to_string().contains("digest mismatch"), "{name}: {err}");
     let back = apiphany_repro::core::AnalysisArtifact::from_json(&json)
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     assert_eq!(back.service.as_deref(), Some(name));
