@@ -180,12 +180,3 @@ pub fn table4(semlib: &SemLib, methods_per_api: usize) -> String {
     }
     out
 }
-
-/// Human-readable duration.
-pub fn fmt_duration(d: Duration) -> String {
-    if d.as_secs() >= 60 {
-        format!("{:.1}min", d.as_secs_f64() / 60.0)
-    } else {
-        format!("{:.1}s", d.as_secs_f64())
-    }
-}

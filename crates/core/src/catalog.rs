@@ -20,8 +20,9 @@
 //!   job is queued on the runtime's analysis lane and
 //!   [`ServiceCatalog::lookup`] returns the [`Job`] handle immediately —
 //!   nothing blocks, and callers chain work onto
-//!   [`Job::on_terminal`](crate::Job::on_terminal) or poll
-//!   [`Job::state`](crate::Job::state). [`ServiceCatalog::prewarm`]
+//!   [`Job::on_terminal`](crate::Job::on_terminal) (as
+//!   [`JobRuntime::submit_catalog_async`] does with a query's session) or
+//!   poll [`Job::state`](crate::Job::state). [`ServiceCatalog::prewarm`]
 //!   starts the job right after registration so a service is warm before
 //!   its first query.
 //!
@@ -82,10 +83,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use apiphany_analysis::DiagnosticSummary;
-use apiphany_mining::{AnalyzeStats, MiningConfig};
+use apiphany_mining::AnalyzeStats;
 use apiphany_spec::{CancelToken, Library, Witness};
 use apiphany_telemetry::Telemetry;
-use apiphany_ttn::BuildOptions;
 
 use crate::fault::{FaultKind, FaultPlane, FaultPoint};
 use crate::job::{panic_message, Job, JobId, JobKind, JobOutcome, JobRuntime, JobState};
@@ -203,8 +203,6 @@ impl Default for LockConfig {
 #[derive(Clone)]
 struct JobConfig {
     cache_dir: Option<PathBuf>,
-    mining: MiningConfig,
-    build: BuildOptions,
     retry: RetryPolicy,
     lock: LockConfig,
     fault: FaultPlane,
@@ -219,8 +217,6 @@ impl Default for JobConfig {
     fn default() -> JobConfig {
         JobConfig {
             cache_dir: None,
-            mining: MiningConfig::default(),
-            build: BuildOptions::default(),
             retry: RetryPolicy::default(),
             lock: LockConfig::default(),
             fault: FaultPlane::disabled(),
@@ -350,19 +346,6 @@ impl ServiceCatalog {
         self
     }
 
-    /// Sets the type-mining configuration used for spec-registered
-    /// services (granularity ablations, merge policy).
-    pub fn with_mining(mut self, mining: MiningConfig) -> ServiceCatalog {
-        self.cfg.mining = mining;
-        self
-    }
-
-    /// Sets the TTN construction options used when engines are built.
-    pub fn with_build_options(mut self, build: BuildOptions) -> ServiceCatalog {
-        self.cfg.build = build;
-        self
-    }
-
     /// Sets the supervised-retry policy for transient analysis failures
     /// (default: 2 retries, 100 ms base backoff).
     pub fn with_retry(mut self, retry: RetryPolicy) -> ServiceCatalog {
@@ -399,8 +382,8 @@ impl ServiceCatalog {
     /// Executes analysis jobs on `runtime`'s analysis lane instead of
     /// inline: [`ServiceCatalog::lookup`] and
     /// [`ServiceCatalog::prewarm`] become non-blocking, and mining shares
-    /// (fairly — see [`apiphany_ttn::pool::Lane`]) the pool that runs the
-    /// search jobs of any [`crate::Scheduler`] on the same runtime.
+    /// the runtime's slots fairly with the sessions
+    /// [`JobRuntime::submit`] runs there (see [`JobRuntime`]).
     pub fn with_runtime(mut self, runtime: JobRuntime) -> ServiceCatalog {
         self.cfg.retry_counter = Some(runtime.retry_counter());
         if !self.cfg.telemetry.is_enabled() {
@@ -630,8 +613,8 @@ impl ServiceCatalog {
     }
 
     /// Opens a streaming [`Session`] for a catalog-routed [`QuerySpec`]
-    /// on a dedicated worker thread. (A [`crate::Scheduler`] does the
-    /// same over a shared, bounded pool.)
+    /// on a dedicated worker thread. ([`JobRuntime::submit_catalog`] does
+    /// the same on a runtime's bounded pool.)
     ///
     /// # Errors
     ///
@@ -705,9 +688,7 @@ fn run_analysis_job(
                 }
             }
             Entry::Artifact(artifact) => Ok(Analyzed {
-                engine: Engine::builder()
-                    .build_options(cfg.build.clone())
-                    .from_artifact(*artifact),
+                engine: Engine::builder().from_artifact(*artifact),
                 source: AnalysisSource::Artifact,
                 cache_warning: None,
             }),
@@ -801,9 +782,7 @@ fn analyze_spec(
     match load_cached(cache_dir, name, &cfg.fault) {
         CacheProbe::Hit(artifact) => {
             return Ok(Analyzed {
-                engine: Engine::builder()
-                    .build_options(cfg.build.clone())
-                    .from_artifact(*artifact),
+                engine: Engine::builder().from_artifact(*artifact),
                 source: AnalysisSource::Cache,
                 cache_warning: None,
             })
@@ -822,9 +801,7 @@ fn analyze_spec(
             LockAcquire::Unlocked => None,
             LockAcquire::Published(artifact) => {
                 return Ok(Analyzed {
-                    engine: Engine::builder()
-                        .build_options(cfg.build.clone())
-                        .from_artifact(*artifact),
+                    engine: Engine::builder().from_artifact(*artifact),
                     source: AnalysisSource::Peer,
                     cache_warning: warning,
                 })
@@ -843,9 +820,7 @@ fn analyze_spec(
             load_cached(cache_dir, name, &FaultPlane::disabled())
         {
             return Ok(Analyzed {
-                engine: Engine::builder()
-                    .build_options(cfg.build.clone())
-                    .from_artifact(*artifact),
+                engine: Engine::builder().from_artifact(*artifact),
                 source: AnalysisSource::Peer,
                 cache_warning: warning,
             });
@@ -857,8 +832,6 @@ fn analyze_spec(
         return Err(TransientFailure(e.to_string()));
     }
     let engine = Engine::builder()
-        .mining(cfg.mining.clone())
-        .build_options(cfg.build.clone())
         .cancel_token(cancel.clone())
         .from_witnesses(library, witnesses);
     // Never persist a partially mined (cancelled) analysis.

@@ -19,23 +19,27 @@
 //!   point (synthesis polls the token at every search node; the analysis
 //!   phase runs to completion — mining has no safe midpoint).
 //!
-//! Jobs execute on the [`SharedPool`]'s two lanes: [`JobKind::Search`]
-//! maps to the FIFO search lane, [`JobKind::Analysis`] to the capped,
-//! alternating analysis lane — so a backlog of mining work can never
-//! occupy every slot and starve running sessions (see
-//! [`apiphany_ttn::pool::Lane`]). [`JobRuntime`] bundles the pool with a
-//! job-id allocator and per-kind accounting; one runtime is shared by the
-//! [`crate::Scheduler`] (search jobs) and the [`crate::ServiceCatalog`]
-//! (analysis jobs), which is what makes "analysis as a schedulable unit"
-//! a single-queue property rather than three ad-hoc thread mechanisms.
+//! Jobs execute on a [`JobRuntime`]: `slots` long-lived worker threads
+//! serving one FIFO lane per [`JobKind`]. When both lanes have work, a
+//! freed slot alternates between them, and at most `max(1, slots - 1)`
+//! analysis jobs run at once — so a backlog of mining work can never
+//! occupy every slot and starve running sessions. The runtime is also
+//! the one launcher of scheduled sessions ([`JobRuntime::submit`] runs a
+//! query as a `Search` job), and a [`crate::ServiceCatalog`] configured
+//! with [`crate::ServiceCatalog::with_runtime`] queues its analysis jobs
+//! on the same workers: "analysis as a schedulable unit" is a property
+//! of one pool, not of ad-hoc threads.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use apiphany_telemetry::Telemetry;
-use apiphany_ttn::pool::{Lane, SharedPool};
 use apiphany_ttn::CancelToken;
+
+use crate::fault::FaultPlane;
 
 /// Renders a caught panic payload as the job's failure reason.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -59,7 +63,8 @@ impl std::fmt::Display for JobId {
     }
 }
 
-/// What kind of work a job performs (also selects its pool [`Lane`]).
+/// What kind of work a job performs (also selects its [`JobRuntime`]
+/// lane).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobKind {
     /// A service's analyze-once phase: type mining + TTN construction
@@ -78,13 +83,6 @@ impl JobKind {
             JobKind::Search => "search",
         }
     }
-
-    fn lane(self) -> Lane {
-        match self {
-            JobKind::Analysis => Lane::Analysis,
-            JobKind::Search => Lane::Search,
-        }
-    }
 }
 
 /// A snapshot of a job's position in its state machine.
@@ -93,9 +91,9 @@ impl JobKind {
 /// states are terminal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobState {
-    /// Submitted, waiting for a pool slot (or for its lane's turn).
+    /// Submitted, waiting for a worker slot (or for its lane's turn).
     Queued,
-    /// Executing on a pool worker.
+    /// Executing on a runtime worker.
     Running,
     /// Finished successfully; the job's product is available.
     Done,
@@ -451,7 +449,7 @@ impl<T: Clone> Job<T> {
 /// [`JobRuntime::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeStats {
-    /// Worker slots in the underlying pool.
+    /// Worker slots of the runtime.
     pub slots: usize,
     /// Search jobs waiting for a slot.
     pub queued_search: usize,
@@ -459,7 +457,7 @@ pub struct RuntimeStats {
     pub queued_analysis: usize,
     /// Jobs of either kind currently executing.
     pub running: usize,
-    /// Analysis jobs currently executing (capped at `max(1, slots - 1)`).
+    /// Analysis jobs currently executing (at most `analysis_cap`).
     pub analysis_running: usize,
     /// The analysis lane's concurrency cap (`max(1, slots - 1)`): at most
     /// this many analysis jobs run at once, so mining backlogs can never
@@ -470,39 +468,163 @@ pub struct RuntimeStats {
     pub analysis_retries: u64,
 }
 
-/// A [`SharedPool`] plus job bookkeeping: the execution substrate shared
-/// by the [`crate::Scheduler`] (search jobs) and any
+/// The one pool of scheduled work: `slots` worker threads serving a FIFO
+/// lane per [`JobKind`], a job-id allocator, and per-kind accounting.
+/// [`JobRuntime::submit`] launches sessions on it as `Search` jobs, and a
 /// [`crate::ServiceCatalog`] configured with
-/// [`crate::ServiceCatalog::with_runtime`] (analysis jobs). Cloning the
-/// runtime shares the pool, the id allocator, and the accounting.
-#[derive(Clone)]
+/// [`crate::ServiceCatalog::with_runtime`] queues its `Analysis` jobs on
+/// it.
+///
+/// Each lane starts its jobs in submission order. When both lanes have
+/// work, a freed slot alternates between them (whichever kind ran last
+/// yields to the other), and at most `max(1, slots - 1)` analysis jobs run
+/// at once — so on a runtime with two or more slots, one slot is always
+/// left to searches. A job that panics leaves its worker alive.
+///
+/// Cloning the runtime shares the workers, the lanes, the id allocator
+/// and the accounting (an explicit handle count, not `Arc::strong_count`,
+/// decides shutdown — the count would race concurrent drops). When the
+/// last handle drops, the workers finish every queued job and exit, and
+/// the drop joins them.
 pub struct JobRuntime {
-    pool: SharedPool,
-    ids: Arc<AtomicU64>,
+    shared: Arc<Shared>,
     retries: Arc<AtomicU64>,
     telemetry: Telemetry,
+    fault: FaultPlane,
+}
+
+/// What every handle and every worker of one runtime shares.
+struct Shared {
+    lanes: Mutex<Lanes>,
+    /// Workers park here while no job is eligible.
+    available: Condvar,
+    slots: usize,
+    /// At most this many analysis jobs run at once: `max(1, slots - 1)`.
+    analysis_cap: usize,
+    /// Live handles; the drop that takes this to zero shuts the workers
+    /// down.
+    handles: AtomicUsize,
+    ids: AtomicU64,
+}
+
+type Body = Box<dyn FnOnce() + Send>;
+
+/// The queued job bodies and the occupancy they are scheduled against.
+struct Lanes {
+    search: VecDeque<Body>,
+    analysis: VecDeque<Body>,
+    /// Jobs executing on a worker.
+    running: usize,
+    /// Analysis jobs executing (at most `analysis_cap`).
+    analysis_running: usize,
+    /// When both lanes have an eligible job, take the analysis one iff
+    /// this is set; every take flips preference to the *other* lane, so
+    /// mixed backlogs drain alternately instead of one kind monopolizing
+    /// freed slots.
+    prefer_analysis: bool,
+    /// Set when the last handle drops; workers drain and exit.
+    shutdown: bool,
+    /// Worker join handles, reaped by the last handle's drop.
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl Lanes {
+    /// Picks the next job a worker should run, honoring the analysis cap
+    /// and the alternation preference. `None` = nothing eligible.
+    fn take(&mut self, analysis_cap: usize) -> Option<(Body, JobKind)> {
+        let analysis_ok = !self.analysis.is_empty() && self.analysis_running < analysis_cap;
+        let kind = match (!self.search.is_empty(), analysis_ok) {
+            (false, false) => return None,
+            (true, false) => JobKind::Search,
+            (false, true) => JobKind::Analysis,
+            (true, true) if self.prefer_analysis => JobKind::Analysis,
+            (true, true) => JobKind::Search,
+        };
+        self.prefer_analysis = kind == JobKind::Search;
+        self.running += 1;
+        let body = match kind {
+            JobKind::Search => self.search.pop_front(),
+            JobKind::Analysis => {
+                self.analysis_running += 1;
+                self.analysis.pop_front()
+            }
+        };
+        Some((body.expect("lane checked non-empty"), kind))
+    }
+}
+
+/// One worker: run eligible jobs until the runtime shuts down and the
+/// lanes are empty.
+fn work(shared: &Shared) {
+    loop {
+        let (body, kind) = {
+            let mut lanes = shared.lanes.lock().expect("runtime lock");
+            loop {
+                if let Some(taken) = lanes.take(shared.analysis_cap) {
+                    break taken;
+                }
+                if lanes.shutdown {
+                    return;
+                }
+                lanes = shared.available.wait(lanes).expect("runtime lock");
+            }
+        };
+        // A panicking job must not take the worker (and its slot) down
+        // with it: the lane behind it would never drain. The payload is
+        // swallowed — a job owns its own error reporting.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+        let mut lanes = shared.lanes.lock().expect("runtime lock");
+        lanes.running -= 1;
+        if kind == JobKind::Analysis {
+            lanes.analysis_running -= 1;
+            // Freeing analysis capacity can make a queued analysis job
+            // eligible for a *parked* worker (this worker may take a
+            // search job instead under alternation); wake one.
+            if !lanes.analysis.is_empty() {
+                shared.available.notify_one();
+            }
+        }
+    }
 }
 
 impl std::fmt::Debug for JobRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobRuntime").field("slots", &self.pool.slots()).finish()
+        f.debug_struct("JobRuntime").field("slots", &self.shared.slots).finish()
     }
 }
 
 impl JobRuntime {
-    /// A runtime with its own pool of `slots` worker threads.
+    /// A runtime with `slots` worker threads (clamped to at least 1).
     pub fn new(slots: usize) -> JobRuntime {
-        JobRuntime::with_pool(SharedPool::new(slots))
-    }
-
-    /// A runtime over an existing pool (to share slots with other pool
-    /// users).
-    pub fn with_pool(pool: SharedPool) -> JobRuntime {
+        let slots = slots.max(1);
+        let shared = Arc::new(Shared {
+            lanes: Mutex::new(Lanes {
+                search: VecDeque::new(),
+                analysis: VecDeque::new(),
+                running: 0,
+                analysis_running: 0,
+                prefer_analysis: false,
+                shutdown: false,
+                workers: Vec::new(),
+            }),
+            available: Condvar::new(),
+            slots,
+            analysis_cap: slots.saturating_sub(1).max(1),
+            handles: AtomicUsize::new(1),
+            ids: AtomicU64::new(1),
+        });
+        let workers = (0..slots)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || work(&shared))
+            })
+            .collect();
+        shared.lanes.lock().expect("runtime lock").workers = workers;
         JobRuntime {
-            pool,
-            ids: Arc::new(AtomicU64::new(1)),
+            shared,
             retries: Arc::new(AtomicU64::new(0)),
             telemetry: Telemetry::default(),
+            fault: FaultPlane::disabled(),
         }
     }
 
@@ -515,10 +637,24 @@ impl JobRuntime {
         self
     }
 
+    /// Installs a fault-injection plane: search workers trip the
+    /// `worker_start` point as they begin (testing/chaos only; the
+    /// default disabled plane costs one branch per worker start).
+    #[must_use]
+    pub fn with_fault(mut self, fault: FaultPlane) -> JobRuntime {
+        self.fault = fault;
+        self
+    }
+
     /// The observability plane this runtime reports into (the disabled
     /// plane unless [`JobRuntime::with_telemetry`] installed one).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
+    }
+
+    /// The fault plane search workers trip (see [`JobRuntime::with_fault`]).
+    pub(crate) fn fault(&self) -> &FaultPlane {
+        &self.fault
     }
 
     /// The shared supervised-retry counter: bumped by the
@@ -528,19 +664,9 @@ impl JobRuntime {
         Arc::clone(&self.retries)
     }
 
-    /// The underlying pool handle.
-    pub fn pool(&self) -> &SharedPool {
-        &self.pool
-    }
-
-    /// Worker slots in the underlying pool.
-    pub fn slots(&self) -> usize {
-        self.pool.slots()
-    }
-
     /// Allocates the next [`JobId`].
     pub(crate) fn next_id(&self) -> JobId {
-        JobId(self.ids.fetch_add(1, Ordering::Relaxed))
+        JobId(self.shared.ids.fetch_add(1, Ordering::Relaxed))
     }
 
     /// Creates a fresh `Queued` job tracked by this runtime's id space.
@@ -548,27 +674,37 @@ impl JobRuntime {
         Job::new(self.next_id(), kind, label, self.telemetry.clone())
     }
 
-    /// Submits a job body to the pool lane matching `kind`. The body owns
-    /// its job's state transitions (`mark_running` / `settle`).
+    /// Queues a job body in the lane of `kind`. The body owns its job's
+    /// state transitions (`mark_running` / `settle`).
     pub(crate) fn spawn(&self, kind: JobKind, body: impl FnOnce() + Send + 'static) {
-        self.pool.spawn_lane(kind.lane(), body);
+        let mut lanes = self.shared.lanes.lock().expect("runtime lock");
+        match kind {
+            JobKind::Search => lanes.search.push_back(Box::new(body)),
+            JobKind::Analysis => lanes.analysis.push_back(Box::new(body)),
+        }
+        drop(lanes);
+        self.shared.available.notify_one();
     }
 
-    /// A snapshot of queue and slot occupancy. When a telemetry plane is
-    /// installed the per-lane occupancy gauges (`pool.queued_search`,
-    /// `pool.queued_analysis`, `pool.running`, `pool.analysis_running`)
-    /// and the `jobs.retries` counter-gauge are refreshed from the same
-    /// numbers, so a metrics snapshot taken right after agrees with the
-    /// report.
+    /// A snapshot of queue and slot occupancy, read under one lock, so
+    /// the counts agree with each other (`analysis_running <= running`).
+    /// When a telemetry plane is installed the per-lane occupancy gauges
+    /// (`pool.queued_search`, `pool.queued_analysis`, `pool.running`,
+    /// `pool.analysis_running`) and the `jobs.retries` counter-gauge are
+    /// refreshed from the same numbers, so a metrics snapshot taken right
+    /// after agrees with the report.
     pub fn stats(&self) -> RuntimeStats {
-        let stats = RuntimeStats {
-            slots: self.pool.slots(),
-            queued_search: self.pool.queued_lane(Lane::Search),
-            queued_analysis: self.pool.queued_lane(Lane::Analysis),
-            running: self.pool.in_flight(),
-            analysis_running: self.pool.analysis_in_flight(),
-            analysis_cap: self.pool.slots().saturating_sub(1).max(1),
-            analysis_retries: self.retries.load(Ordering::Relaxed),
+        let stats = {
+            let lanes = self.shared.lanes.lock().expect("runtime lock");
+            RuntimeStats {
+                slots: self.shared.slots,
+                queued_search: lanes.search.len(),
+                queued_analysis: lanes.analysis.len(),
+                running: lanes.running,
+                analysis_running: lanes.analysis_running,
+                analysis_cap: self.shared.analysis_cap,
+                analysis_retries: self.retries.load(Ordering::Relaxed),
+            }
         };
         if self.telemetry.is_enabled() {
             let as_i64 = |v: usize| i64::try_from(v).unwrap_or(i64::MAX);
@@ -585,9 +721,48 @@ impl JobRuntime {
     }
 }
 
+impl Clone for JobRuntime {
+    fn clone(&self) -> JobRuntime {
+        self.shared.handles.fetch_add(1, Ordering::Relaxed);
+        JobRuntime {
+            shared: Arc::clone(&self.shared),
+            retries: Arc::clone(&self.retries),
+            telemetry: self.telemetry.clone(),
+            fault: self.fault.clone(),
+        }
+    }
+}
+
+impl Drop for JobRuntime {
+    fn drop(&mut self) {
+        if self.shared.handles.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return; // other handles remain
+        }
+        let workers = {
+            let mut lanes = self.shared.lanes.lock().expect("runtime lock");
+            lanes.shutdown = true;
+            std::mem::take(&mut lanes.workers)
+        };
+        self.shared.available.notify_all();
+        let me = std::thread::current().id();
+        for worker in workers {
+            // The last handle can drop on a worker (a continuation that
+            // held a clone); that worker exits by itself once its job
+            // returns, and joining it here would join this very thread.
+            if worker.thread().id() != me {
+                let _ = worker.join();
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    const PATIENCE: Duration = Duration::from_secs(10);
 
     #[test]
     fn state_machine_walks_queued_running_done() {
@@ -729,5 +904,210 @@ mod tests {
         let stats = runtime.stats();
         assert_eq!(stats.slots, 2);
         assert_eq!(stats.queued_search + stats.queued_analysis + stats.running, 0);
+    }
+
+    #[test]
+    fn runtime_runs_every_job() {
+        let runtime = JobRuntime::new(3);
+        assert_eq!(runtime.stats().slots, 3);
+        let (tx, rx) = mpsc::channel();
+        for i in 0..50usize {
+            let tx = tx.clone();
+            runtime.spawn(JobKind::Search, move || tx.send(i).unwrap());
+        }
+        drop(tx);
+        let mut got: Vec<usize> = rx.iter().collect();
+        got.sort_unstable();
+        assert_eq!(got, (0..50).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn runtime_caps_concurrency_at_slots() {
+        let runtime = JobRuntime::new(2);
+        let live = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..16 {
+            let (live, peak, tx) = (Arc::clone(&live), Arc::clone(&peak), tx.clone());
+            runtime.spawn(JobKind::Search, move || {
+                let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(2));
+                live.fetch_sub(1, Ordering::SeqCst);
+                tx.send(()).unwrap();
+            });
+        }
+        drop(tx);
+        assert_eq!(rx.iter().count(), 16);
+        assert!(peak.load(Ordering::SeqCst) <= 2);
+    }
+
+    #[test]
+    fn queued_jobs_start_in_submission_order() {
+        // One slot: start order must equal submission order exactly.
+        let runtime = JobRuntime::new(1);
+        let (tx, rx) = mpsc::channel();
+        for i in 0..20usize {
+            let tx = tx.clone();
+            runtime.spawn(JobKind::Search, move || tx.send(i).unwrap());
+        }
+        drop(tx);
+        assert_eq!(rx.iter().collect::<Vec<_>>(), (0..20).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_its_worker_alive() {
+        let runtime = JobRuntime::new(1);
+        let (tx, rx) = mpsc::channel();
+        runtime.spawn(JobKind::Search, || panic!("job blew up"));
+        // The single worker must still be alive to run the next job.
+        runtime.spawn(JobKind::Search, move || tx.send(42).unwrap());
+        assert_eq!(rx.recv_timeout(PATIENCE), Ok(42));
+    }
+
+    /// The analysis cap, `max(1, slots - 1)`: `cap` analysis jobs run at
+    /// once and a further one waits, so a search job always finds a slot
+    /// even under an analysis backlog.
+    #[test]
+    fn analysis_lane_never_occupies_every_slot() {
+        for slots in [2, 3] {
+            let runtime = JobRuntime::new(slots);
+            let cap = slots - 1;
+            assert_eq!(runtime.stats().analysis_cap, cap);
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            let release_rx = Arc::new(Mutex::new(release_rx));
+            let (started_tx, started_rx) = mpsc::channel::<()>();
+            let (done_tx, done_rx) = mpsc::channel::<&'static str>();
+            for _ in 0..=cap {
+                let rx = Arc::clone(&release_rx);
+                let (started, done) = (started_tx.clone(), done_tx.clone());
+                runtime.spawn(JobKind::Analysis, move || {
+                    started.send(()).unwrap();
+                    rx.lock().unwrap().recv().unwrap();
+                    done.send("analysis").unwrap();
+                });
+            }
+            // `cap` analysis jobs are running at once, none finished.
+            for _ in 0..cap {
+                started_rx.recv_timeout(PATIENCE).expect("analysis job starts");
+            }
+            runtime.spawn(JobKind::Search, move || done_tx.send("search").unwrap());
+            assert_eq!(done_rx.recv_timeout(PATIENCE), Ok("search"), "slots = {slots}");
+            let stats = runtime.stats();
+            assert_eq!(stats.analysis_running, cap, "slots = {slots}");
+            assert_eq!(stats.queued_analysis, 1, "slots = {slots}");
+            for _ in 0..=cap {
+                release_tx.send(()).unwrap();
+            }
+            assert_eq!(done_rx.iter().take(cap + 1).count(), cap + 1);
+        }
+    }
+
+    /// Alternation between lanes is deterministic: after an analysis job,
+    /// a freed slot prefers the search backlog (and vice versa) — the
+    /// property the serving layer relies on so a query queued behind its
+    /// service's analysis streams before the *next* analysis job starts.
+    #[test]
+    fn freed_slots_alternate_between_lanes() {
+        let runtime = JobRuntime::new(1);
+        let (tx, rx) = mpsc::channel::<&'static str>();
+        let inner = runtime.clone();
+        let inner_tx = tx.clone();
+        runtime.spawn(JobKind::Analysis, move || {
+            inner_tx.send("analysis-1").unwrap();
+            // Submit one job per lane from inside the running analysis
+            // job (the continuation pattern): the single worker must pick
+            // the search job first.
+            let t1 = inner_tx.clone();
+            inner.spawn(JobKind::Search, move || t1.send("search").unwrap());
+            let t2 = inner_tx.clone();
+            inner.spawn(JobKind::Analysis, move || t2.send("analysis-2").unwrap());
+        });
+        drop(tx);
+        let order: Vec<&str> = rx.iter().collect();
+        assert_eq!(order, vec!["analysis-1", "search", "analysis-2"]);
+    }
+
+    #[test]
+    fn queued_counts_are_per_lane() {
+        let runtime = JobRuntime::new(1);
+        let (hold_tx, hold_rx) = mpsc::channel::<()>();
+        runtime.spawn(JobKind::Search, move || hold_rx.recv().unwrap());
+        // Wait for the blocker to occupy the single slot, then queue one
+        // job per lane behind it.
+        while runtime.stats().running == 0 {
+            std::thread::yield_now();
+        }
+        runtime.spawn(JobKind::Search, || {});
+        runtime.spawn(JobKind::Analysis, || {});
+        let stats = runtime.stats();
+        assert_eq!((stats.queued_search, stats.queued_analysis), (1, 1));
+        hold_tx.send(()).unwrap();
+    }
+
+    #[test]
+    fn dropping_the_last_handle_drains_the_queue() {
+        let done = Arc::new(AtomicUsize::new(0));
+        {
+            let runtime = JobRuntime::new(1);
+            for _ in 0..10 {
+                let done = Arc::clone(&done);
+                runtime.spawn(JobKind::Search, move || {
+                    std::thread::sleep(Duration::from_millis(1));
+                    done.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            let clone = runtime.clone();
+            drop(clone); // dropping a non-final handle must not shut down
+        }
+        // The final drop joins the workers after the queue drained.
+        assert_eq!(done.load(Ordering::SeqCst), 10);
+    }
+
+    /// The last handle can drop on a worker, as when a continuation holds
+    /// the final clone: the drop joins the other workers, not its own.
+    #[test]
+    fn the_last_handle_can_drop_on_a_worker() {
+        let runtime = JobRuntime::new(2);
+        let last = runtime.clone();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        runtime.spawn(JobKind::Search, move || {
+            go_rx.recv().unwrap();
+            drop(last);
+            done_tx.send(()).unwrap();
+        });
+        drop(runtime);
+        go_tx.send(()).unwrap();
+        assert_eq!(done_rx.recv_timeout(PATIENCE), Ok(()));
+    }
+
+    /// `stats` reads every count under one lock: polled while thousands
+    /// of jobs of both kinds start and settle, no snapshot shows more
+    /// analysis jobs running than jobs running, or more than the cap.
+    #[test]
+    fn stats_snapshots_stay_consistent_while_jobs_churn() {
+        const JOBS: usize = 4_000;
+        let runtime = JobRuntime::new(3);
+        let settled = Arc::new(AtomicUsize::new(0));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..JOBS {
+                    let kind = if i % 2 == 0 { JobKind::Analysis } else { JobKind::Search };
+                    let job: Job<()> = runtime.new_job(kind, "churn");
+                    let settled = Arc::clone(&settled);
+                    runtime.spawn(kind, move || {
+                        job.mark_running();
+                        job.settle(JobOutcome::Done(()));
+                        settled.fetch_add(1, Ordering::SeqCst);
+                    });
+                }
+            });
+            while settled.load(Ordering::SeqCst) < JOBS {
+                let stats = runtime.stats();
+                assert!(stats.analysis_running <= stats.running, "{stats:?}");
+                assert!(stats.analysis_running <= stats.analysis_cap, "{stats:?}");
+            }
+        });
     }
 }

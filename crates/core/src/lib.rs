@@ -81,7 +81,6 @@ mod sched;
 mod session;
 
 pub use apiphany_telemetry::Telemetry;
-pub use apiphany_ttn::pool::SharedPool;
 pub use apiphany_ttn::{Budget, CancelToken, InvalidBudget};
 pub use artifact::AnalysisArtifact;
 pub use catalog::{
@@ -91,7 +90,7 @@ pub use error::EngineError;
 pub use fault::{FaultKind, FaultPlane, FaultPoint, FaultRule};
 pub use job::{Job, JobId, JobKind, JobOutcome, JobRuntime, JobState, RuntimeStats};
 pub use queryspec::QuerySpec;
-pub use sched::{CatalogSubmission, Scheduler};
+pub use sched::CatalogSubmission;
 pub use session::{Event, Session};
 
 use std::sync::Arc;
@@ -442,7 +441,7 @@ impl Engine {
     /// builder-first twin of [`Engine::session`] (which it matches
     /// event-for-event for an equivalent query and config). The spec's
     /// `service` field is ignored here; use [`ServiceCatalog::open`] or
-    /// [`Scheduler::submit_catalog`] for name-routed queries.
+    /// [`JobRuntime::submit_catalog`] for name-routed queries.
     ///
     /// # Errors
     ///

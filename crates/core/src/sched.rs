@@ -1,20 +1,19 @@
-//! The session scheduler: many concurrent queries over one bounded pool.
+//! Sessions on the job runtime: many concurrent queries over one bounded
+//! pool.
 //!
 //! An [`Engine::session`](crate::Engine::session) gives every query a
 //! dedicated worker thread — fine for one caller, unbounded for a
-//! serving front door. A [`Scheduler`] instead submits every session as
-//! a `Search` [`Job`] on a [`JobRuntime`] — **one shared
-//! [`SharedPool`](apiphany_ttn::pool::SharedPool)** with a fixed number
-//! of slots: at most `slots` jobs execute at once, later search
-//! submissions queue FIFO, and each freed slot goes to the oldest
-//! waiting session (alternating fairly with any analysis jobs a
-//! [`ServiceCatalog::with_runtime`] catalog queues on the same runtime).
-//! Budgets stay per-session (a session's wall-clock starts when its job
-//! starts, not while it waits), and cancellation works exactly as for
-//! dedicated sessions — cancelling a *queued* session makes its job a
-//! prompt no-op.
+//! serving front door. [`JobRuntime::submit`] instead runs every session
+//! as a `Search` [`Job`] on the runtime's fixed number of slots: at most
+//! `slots` jobs execute at once, later search submissions queue FIFO, and
+//! each freed slot goes to the oldest waiting session (alternating fairly
+//! with any analysis jobs a [`ServiceCatalog::with_runtime`] catalog
+//! queues on the same runtime). Budgets stay per-session (a session's
+//! wall-clock starts when its job starts, not while it waits), and
+//! cancellation works exactly as for dedicated sessions — cancelling a
+//! *queued* session makes its job a prompt no-op.
 //!
-//! The scheduler changes **where** a session runs, never **what** it
+//! The runtime changes **where** a session runs, never **what** it
 //! emits: a scheduled session's event stream — candidates, their order,
 //! every rank and cost, the depth markers, the final ranking — is
 //! identical to a dedicated [`Engine::session`](crate::Engine::session)
@@ -30,18 +29,18 @@
 //!
 //! ```
 //! use std::sync::mpsc;
-//! use apiphany_core::{Engine, Event, QuerySpec, Scheduler};
+//! use apiphany_core::{Engine, Event, JobRuntime, QuerySpec};
 //! use apiphany_spec::fixtures::{fig4_witnesses, fig7_library};
 //!
 //! let engine = Engine::from_witnesses(fig7_library(), fig4_witnesses());
-//! let scheduler = Scheduler::new(2);
+//! let runtime = JobRuntime::new(2);
 //! let spec = QuerySpec::output("[Profile.email]")
 //!     .input("channel_name", "Channel.name")
 //!     .depth(7);
 //! let (wake, woken) = mpsc::channel();
 //! let mut sessions = Vec::new();
 //! for id in 0..3 {
-//!     let session = scheduler.submit(&engine, &spec).unwrap();
+//!     let session = runtime.submit(&engine, &spec).unwrap();
 //!     let post = wake.clone();
 //!     session.set_wake_hook(move || {
 //!         let _ = post.send(id);
@@ -59,14 +58,11 @@
 
 use std::sync::Arc;
 
-use apiphany_ttn::pool::SharedPool;
-
-use crate::fault::FaultPlane;
 use crate::job::{Job, JobKind, JobOutcome, JobRuntime};
 use crate::session::Host;
 use crate::{Engine, EngineError, QuerySpec, ServiceCatalog, ServiceLookup, Session};
 
-/// How [`Scheduler::submit_catalog_async`] dispatched a query.
+/// How [`JobRuntime::submit_catalog_async`] dispatched a query.
 #[derive(Debug)]
 pub enum CatalogSubmission {
     /// The service was warm: the session was submitted synchronously.
@@ -77,66 +73,10 @@ pub enum CatalogSubmission {
     Pending(Job<Engine>),
 }
 
-/// Multiplexes concurrent synthesis sessions — as `Search` [`Job`]s on a
-/// [`JobRuntime`] — over one shared worker pool. See the module docs.
-#[derive(Debug, Clone)]
-pub struct Scheduler {
-    runtime: JobRuntime,
-    fault: FaultPlane,
-}
-
-impl Scheduler {
-    /// A scheduler with its own runtime of `slots` worker threads.
-    pub fn new(slots: usize) -> Scheduler {
-        Scheduler { runtime: JobRuntime::new(slots), fault: FaultPlane::disabled() }
-    }
-
-    /// A scheduler over an existing pool (to share slots with other
-    /// schedulers or pool users).
-    pub fn with_pool(pool: SharedPool) -> Scheduler {
-        Scheduler { runtime: JobRuntime::with_pool(pool), fault: FaultPlane::disabled() }
-    }
-
-    /// A scheduler over an existing [`JobRuntime`] — the way to share one
-    /// job queue (and one id space) with a
-    /// [`ServiceCatalog::with_runtime`] catalog, so search and analysis
-    /// jobs schedule through the same two-lane pool.
-    pub fn with_runtime(runtime: JobRuntime) -> Scheduler {
-        Scheduler { runtime, fault: FaultPlane::disabled() }
-    }
-
-    /// Installs a fault-injection plane: search workers trip the
-    /// `worker_start` point as they begin (testing/chaos only; the
-    /// default disabled plane costs one branch per worker start).
-    #[must_use]
-    pub fn with_fault(mut self, fault: FaultPlane) -> Scheduler {
-        self.fault = fault;
-        self
-    }
-
-    /// The number of sessions that can run concurrently.
-    pub fn slots(&self) -> usize {
-        self.runtime.slots()
-    }
-
-    /// Sessions submitted but still waiting for a slot.
-    pub fn queued(&self) -> usize {
-        self.runtime.pool().queued_lane(apiphany_ttn::pool::Lane::Search)
-    }
-
-    /// The underlying pool handle.
-    pub fn pool(&self) -> &SharedPool {
-        self.runtime.pool()
-    }
-
-    /// The job runtime this scheduler submits through.
-    pub fn runtime(&self) -> &JobRuntime {
-        &self.runtime
-    }
-
+impl JobRuntime {
     /// Submits a typed query against an explicit engine; returns the
-    /// streaming [`Session`] immediately (its worker occupies a pool slot
-    /// once one frees up). The session is tracked as a `Search` job —
+    /// streaming [`Session`] immediately (its worker occupies a slot once
+    /// one frees up). The session is tracked as a `Search` job —
     /// [`Session::job_state`] observes it, and cancelling the session
     /// cancels the job.
     ///
@@ -148,20 +88,16 @@ impl Scheduler {
         let query = spec.resolve(engine.semlib())?;
         let mut cfg = spec.run_config();
         cfg.synthesis.budget.validate()?;
-        cfg.synthesis.telemetry = self.runtime.telemetry().clone();
+        cfg.synthesis.telemetry = self.telemetry().clone();
         let label = spec.service.clone().unwrap_or_default();
-        let host = Host::Pool {
-            runtime: &self.runtime,
-            job: self.runtime.new_job(JobKind::Search, label),
-            fault: self.fault.clone(),
-        };
+        let host = Host::Runtime { runtime: self, job: self.new_job(JobKind::Search, label) };
         Ok(Session::spawn(host, Arc::clone(&engine.inner), query, cfg))
     }
 
     /// Submits a catalog-routed spec: looks the service up (**blocking**
     /// on its analyze-once job if this is first use), then submits as
-    /// [`Scheduler::submit`]. For the non-blocking twin see
-    /// [`Scheduler::submit_catalog_async`].
+    /// [`JobRuntime::submit`]. For the non-blocking twin see
+    /// [`JobRuntime::submit_catalog_async`].
     ///
     /// # Errors
     ///
@@ -187,16 +123,16 @@ impl Scheduler {
     /// analysis error) and hands it to `deliver`.
     ///
     /// `deliver` runs on the thread that settles the analysis job, and it
-    /// runs *before* the pool worker picks its next job — so the queued
-    /// query enters the search lane ahead of any analysis job submitted
-    /// after it, which is what makes "warm queries stream while a cold
-    /// service mines" an ordering guarantee rather than a timing one.
+    /// runs *before* that worker picks its next job — so the queued query
+    /// enters the search lane ahead of any analysis job submitted after
+    /// it, which is what makes "warm queries stream while a cold service
+    /// mines" an ordering guarantee rather than a timing one.
     ///
     /// # Errors
     ///
     /// Synchronously: [`EngineError::Spec`] (no service named),
     /// [`EngineError::UnknownService`], and — for warm services — the
-    /// [`Scheduler::submit`] errors. Cold-service resolution/budget
+    /// [`JobRuntime::submit`] errors. Cold-service resolution/budget
     /// errors arrive through `deliver`.
     pub fn submit_catalog_async(
         &self,
@@ -213,12 +149,12 @@ impl Scheduler {
                 Ok(CatalogSubmission::Started(self.submit(&engine, spec)?))
             }
             ServiceLookup::Pending(job) => {
-                let scheduler = self.clone();
+                let runtime = self.clone();
                 let spec = spec.clone();
                 let service = name.to_string();
                 job.on_terminal(move |outcome| {
                     let submitted = match outcome {
-                        JobOutcome::Done(engine) => scheduler.submit(engine, &spec),
+                        JobOutcome::Done(engine) => runtime.submit(engine, &spec),
                         JobOutcome::Failed(reason) => Err(EngineError::Analysis {
                             service,
                             reason: reason.clone(),
@@ -281,8 +217,8 @@ mod tests {
         let engine = engine();
         let spec = email_spec();
         let dedicated: Vec<Event> = engine.open(&spec).unwrap().collect();
-        let scheduler = Scheduler::new(2);
-        let scheduled: Vec<Event> = scheduler.submit(&engine, &spec).unwrap().collect();
+        let runtime = JobRuntime::new(2);
+        let scheduled: Vec<Event> = runtime.submit(&engine, &spec).unwrap().collect();
         assert_eq!(fingerprint(&scheduled), fingerprint(&dedicated));
     }
 
@@ -318,8 +254,8 @@ mod tests {
         let engine = engine();
         let spec = email_spec();
         let reference = fingerprint(&engine.open(&spec).unwrap().collect::<Vec<_>>());
-        let scheduler = Scheduler::new(2);
-        let sessions = (0..6).map(|_| scheduler.submit(&engine, &spec).unwrap()).collect();
+        let runtime = JobRuntime::new(2);
+        let sessions = (0..6).map(|_| runtime.submit(&engine, &spec).unwrap()).collect();
         for (id, stream) in drain_by_wakes(sessions).iter().enumerate() {
             assert_eq!(fingerprint(stream), reference, "session {id}");
         }
@@ -333,8 +269,8 @@ mod tests {
         let spec = email_spec();
         let reference = fingerprint(&engine.open(&spec).unwrap().collect::<Vec<_>>());
         assert!(reference.len() <= crate::session::EVENT_BUFFER, "the stream fits the buffer");
-        let scheduler = Scheduler::new(1);
-        let session = scheduler.submit(&engine, &spec).unwrap();
+        let runtime = JobRuntime::new(1);
+        let session = runtime.submit(&engine, &spec).unwrap();
         // The job settles only after its worker has buffered `Finished`.
         assert_eq!(session.job().unwrap().wait(), crate::JobState::Done);
         let streams = drain_by_wakes(vec![session]);
@@ -346,10 +282,10 @@ mod tests {
         let engine = engine();
         // One slot, occupied by a deep session; the queued one is
         // cancelled before it ever starts.
-        let scheduler = Scheduler::new(1);
+        let runtime = JobRuntime::new(1);
         let deep = email_spec().depth(12);
-        let running = scheduler.submit(&engine, &deep).unwrap();
-        let queued = scheduler.submit(&engine, &deep).unwrap();
+        let running = runtime.submit(&engine, &deep).unwrap();
+        let queued = runtime.submit(&engine, &deep).unwrap();
         queued.cancel();
         // Unblock the slot.
         running.cancel();
@@ -363,15 +299,15 @@ mod tests {
     #[test]
     fn submit_validates_spec_and_budget() {
         let engine = engine();
-        let scheduler = Scheduler::new(1);
+        let runtime = JobRuntime::new(1);
         let bad_type = QuerySpec::output("[Nope]").depth(7);
         assert!(matches!(
-            scheduler.submit(&engine, &bad_type),
+            runtime.submit(&engine, &bad_type),
             Err(EngineError::Query(_))
         ));
         let bad_budget = email_spec().depth(0);
         assert!(matches!(
-            scheduler.submit(&engine, &bad_budget),
+            runtime.submit(&engine, &bad_budget),
             Err(EngineError::Budget(_))
         ));
     }
@@ -380,16 +316,16 @@ mod tests {
     fn submit_catalog_routes_by_name() {
         let catalog = ServiceCatalog::new();
         catalog.register_spec("demo", fig7_library(), fig4_witnesses()).unwrap();
-        let scheduler = Scheduler::new(2);
+        let runtime = JobRuntime::new(2);
         let spec = email_spec().service("demo");
-        let result = scheduler.submit_catalog(&catalog, &spec).unwrap().drain();
+        let result = runtime.submit_catalog(&catalog, &spec).unwrap().drain();
         assert_eq!(result.ranked.len(), 2);
         assert!(matches!(
-            scheduler.submit_catalog(&catalog, &email_spec().service("nope")),
+            runtime.submit_catalog(&catalog, &email_spec().service("nope")),
             Err(EngineError::UnknownService(_))
         ));
         assert!(matches!(
-            scheduler.submit_catalog(&catalog, &email_spec()),
+            runtime.submit_catalog(&catalog, &email_spec()),
             Err(EngineError::Spec(_))
         ));
     }
@@ -400,15 +336,15 @@ mod tests {
     fn sessions_are_tracked_as_search_jobs() {
         use crate::job::JobState;
         let engine = engine();
-        let scheduler = Scheduler::new(1);
-        let session = scheduler.submit(&engine, &email_spec()).unwrap();
+        let runtime = JobRuntime::new(1);
+        let session = runtime.submit(&engine, &email_spec()).unwrap();
         let job = session.job().expect("scheduled sessions carry a job").clone();
         assert_eq!(job.kind().name(), "search");
         let result = session.drain();
         assert_eq!(result.ranked.len(), 2);
         assert_eq!(job.wait(), JobState::Done);
         // A cancelled session's job settles Cancelled.
-        let deep = scheduler.submit(&engine, &email_spec().depth(12)).unwrap();
+        let deep = runtime.submit(&engine, &email_spec().depth(12)).unwrap();
         let deep_job = deep.job().unwrap().clone();
         deep.cancel();
         let _ = deep.drain();
@@ -422,9 +358,9 @@ mod tests {
     fn panicking_search_worker_settles_its_job_failed() {
         use crate::job::JobState;
         let engine = engine();
-        let scheduler = Scheduler::new(1)
+        let runtime = JobRuntime::new(1)
             .with_fault(crate::FaultPlane::parse(1, "worker_start=panic").unwrap());
-        let session = scheduler.submit(&engine, &email_spec()).unwrap();
+        let session = runtime.submit(&engine, &email_spec()).unwrap();
         let job = session.job().unwrap().clone();
         let events: Vec<Event> = session.collect();
         assert!(
@@ -441,13 +377,12 @@ mod tests {
     /// its analysis job and the continuation delivers the session.
     #[test]
     fn submit_catalog_async_chains_on_analysis() {
-        let runtime = crate::JobRuntime::new(2);
+        let runtime = JobRuntime::new(2);
         let catalog = ServiceCatalog::new().with_runtime(runtime.clone());
         catalog.register_spec("demo", fig7_library(), fig4_witnesses()).unwrap();
-        let scheduler = Scheduler::with_runtime(runtime);
         let spec = email_spec().service("demo");
         let (tx, rx) = mpsc::channel();
-        let submission = scheduler
+        let submission = runtime
             .submit_catalog_async(&catalog, &spec, move |res| tx.send(res).unwrap())
             .unwrap();
         let CatalogSubmission::Pending(job) = submission else {
@@ -458,7 +393,7 @@ mod tests {
         assert_eq!(session.drain().ranked.len(), 2);
         // Now warm: the same call starts synchronously.
         let (tx2, _rx2) = mpsc::channel();
-        match scheduler
+        match runtime
             .submit_catalog_async(&catalog, &spec, move |res| tx2.send(res).unwrap())
             .unwrap()
         {
@@ -475,14 +410,13 @@ mod tests {
     fn cancelled_analysis_fails_queued_queries() {
         // One slot, held by a long search the consumer never pulls past
         // its first event: the analysis job behind it stays queued.
-        let runtime = crate::JobRuntime::new(1);
+        let runtime = JobRuntime::new(1);
         let catalog = ServiceCatalog::new().with_runtime(runtime.clone());
         catalog.register_spec("demo", fig7_library(), fig4_witnesses()).unwrap();
-        let scheduler = Scheduler::with_runtime(runtime);
         let blocker_engine = engine();
-        let blocker = scheduler.submit(&blocker_engine, &email_spec().depth(12)).unwrap();
+        let blocker = runtime.submit(&blocker_engine, &email_spec().depth(12)).unwrap();
         let (tx, rx) = mpsc::channel();
-        let submission = scheduler
+        let submission = runtime
             .submit_catalog_async(&catalog, &email_spec().service("demo"), move |res| {
                 tx.send(res).unwrap()
             })
@@ -491,7 +425,7 @@ mod tests {
             panic!("cold service must be pending");
         };
         job.cancel();
-        // Unblock the slot so the pool reaches the cancelled job.
+        // Unblock the slot so the runtime reaches the cancelled job.
         blocker.cancel();
         let _ = blocker.drain();
         match rx.recv().unwrap() {

@@ -8,8 +8,9 @@
 //! [`Event::CandidateFound`] is observable long before the budget elapses —
 //! and *bounded*: the search runs on a worker that buffers a few events
 //! ahead of the consumer ([`EVENT_BUFFER`]), then waits for it. The
-//! worker is a dedicated thread for [`crate::Engine::session`] and a pool
-//! slot for [`crate::Scheduler`]; both run the same body.
+//! worker is a dedicated thread for [`crate::Engine::session`] and a
+//! worker slot of a [`JobRuntime`] for [`JobRuntime::submit`]; both run
+//! the same body.
 //!
 //! A consumer serving many sessions from one thread does not poll them:
 //! it installs a wake hook ([`Session::set_wake_hook`]), and the worker
@@ -86,7 +87,7 @@ pub struct Session {
     wake: Arc<Wake>,
     cancel: CancelToken,
     worker: Option<JoinHandle<()>>,
-    /// The scheduler-tracked job, when the session runs on a
+    /// The runtime-tracked job, when the session runs on a
     /// [`JobRuntime`] rather than a dedicated thread.
     job: Option<Job<()>>,
     finished: bool,
@@ -94,12 +95,18 @@ pub struct Session {
 
 /// Where a session's worker body runs: a dedicated thread the session
 /// joins on drop ([`crate::Engine::session`]), or a search-lane slot of a
-/// [`JobRuntime`]'s pool, tracked as `job` ([`crate::Scheduler`]). A
-/// pooled session waits FIFO for a free slot, and its wall-clock budget
+/// [`JobRuntime`], tracked as `job` ([`JobRuntime::submit`]). A session
+/// on the runtime waits FIFO for a free slot, and its wall-clock budget
 /// starts only once its job does.
+///
+/// `Engine::session` keeps its own thread on purpose: a caller can hold
+/// any number of undrained sessions and still drain them in any order,
+/// since each one makes progress on its own thread. On a bounded
+/// runtime, a caller holding `slots` undrained sessions while it drains
+/// another would wait forever.
 pub(crate) enum Host<'a> {
     Thread,
-    Pool { runtime: &'a JobRuntime, job: Job<()>, fault: FaultPlane },
+    Runtime { runtime: &'a JobRuntime, job: Job<()> },
 }
 
 type WakeHook = Box<dyn Fn() + Send>;
@@ -146,7 +153,7 @@ impl Session {
                 FaultPlane::disabled(),
                 None,
             ),
-            Host::Pool { runtime, job, fault } => (job, fault, Some(runtime)),
+            Host::Runtime { runtime, job } => (job, runtime.fault().clone(), Some(runtime)),
         };
         let (tx, rx) = sync_channel(EVENT_BUFFER);
         let wake = Arc::new(Wake::default());
@@ -184,7 +191,7 @@ impl Session {
             }
         };
         let (worker, job) = match runtime {
-            // No JoinHandle: the pool owns the thread. Dropping the
+            // No JoinHandle: the runtime owns the thread. Dropping the
             // session cancels the token and closes the channel, which
             // makes the job finish promptly and free its slot.
             Some(runtime) => {
@@ -197,13 +204,13 @@ impl Session {
     }
 
     /// The state of the session's [`Job`], when it was submitted through
-    /// a [`crate::Scheduler`] (`None` for dedicated-thread sessions,
+    /// [`JobRuntime::submit`] (`None` for dedicated-thread sessions,
     /// which are not scheduled units).
     pub fn job_state(&self) -> Option<JobState> {
         self.job.as_ref().map(Job::state)
     }
 
-    /// The session's scheduler job handle, when it has one.
+    /// The session's runtime job handle, when it has one.
     pub fn job(&self) -> Option<&Job<()>> {
         self.job.as_ref()
     }
@@ -226,7 +233,7 @@ impl Session {
     }
 
     /// Non-blocking pull: the next buffered event, or `None` when the
-    /// worker is still searching — or still waiting for a pool slot.
+    /// worker is still searching — or still waiting for a runtime slot.
     /// Returns `None` forever once [`Event::Finished`] has been
     /// delivered.
     pub fn try_next(&mut self) -> Option<Event> {

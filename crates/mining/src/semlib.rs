@@ -61,11 +61,6 @@ impl SemLib {
         &self.groups[id.0 as usize]
     }
 
-    /// The group of a **canonical** location, if any.
-    pub fn group_of_canonical(&self, loc: &Loc) -> Option<GroupId> {
-        self.loc_to_group.get(loc).copied()
-    }
-
     /// The group of a location, canonicalizing it first.
     pub fn group_of(&self, loc: &Loc) -> Option<GroupId> {
         let canon = canonical_scalar_loc(&self.lib, loc);

@@ -19,7 +19,7 @@
 //! artifact holds up only the client that sent it. The loop executes
 //! ready requests. A cold service's first query enqueues behind that
 //! service's analysis job: when the job settles, its continuation submits the
-//! session (on the settling worker, before the pool picks its next job),
+//! session (on the settling worker, before it picks its next job),
 //! so warm queries keep streaming — by construction, not by luck — while
 //! a large service mines. The loop reports analysis jobs as
 //! `analysis_started` / `analysis_ready` / `analysis_failed` events.
@@ -41,7 +41,7 @@ use std::time::Instant;
 
 use apiphany_core::{
     CatalogSubmission, Engine, EngineError, Event, FaultPlane, Job, JobId, JobRuntime, JobState,
-    RetryPolicy, Scheduler, ServiceCatalog, ServiceLookup, Session, Telemetry,
+    RetryPolicy, ServiceCatalog, ServiceLookup, Session, Telemetry,
 };
 use apiphany_core::ttn::SearchStats;
 use apiphany_json::Value;
@@ -65,8 +65,8 @@ pub struct DaemonOptions {
     /// backoff base).
     pub retry: RetryPolicy,
     /// The fault-injection plane wired into the catalog's analysis jobs
-    /// and the scheduler's search workers. Disabled by default (a no-op
-    /// in production).
+    /// and the runtime's search workers. Disabled by default (a no-op in
+    /// production).
     pub fault: FaultPlane,
     /// The observability plane (metrics registry + flight recorder)
     /// every subsystem reports into; the `metrics` and `dump-recorder`
@@ -224,13 +224,12 @@ struct Watch {
     subscribers: Vec<u64>,
 }
 
-/// The daemon core: the catalog and the scheduler share one
-/// [`JobRuntime`](apiphany_core::JobRuntime), so analysis and search
-/// schedule through the same two-lane pool; every query is keyed by
-/// [`QKey`].
+/// The daemon core: one [`JobRuntime`] runs every session and, through
+/// the catalog's clone of it, every analysis job, so both kinds schedule
+/// through the same two-lane pool; every query is keyed by [`QKey`].
 pub(crate) struct Daemon {
     catalog: ServiceCatalog,
-    scheduler: Scheduler,
+    runtime: JobRuntime,
     /// Every in-flight query, waiting on its analysis or live.
     queries: HashMap<QKey, Query>,
     /// The last submission token handed out.
@@ -381,12 +380,13 @@ impl Daemon {
     pub(crate) fn new<I: Send + 'static>(
         opts: &DaemonOptions,
     ) -> (Daemon, Sender<Msg<I>>, Receiver<Msg<I>>) {
-        let runtime = JobRuntime::new(opts.slots).with_telemetry(opts.telemetry.clone());
         opts.fault.set_telemetry(opts.telemetry.clone());
-        let scheduler = Scheduler::with_runtime(runtime).with_fault(opts.fault.clone());
+        let runtime = JobRuntime::new(opts.slots)
+            .with_telemetry(opts.telemetry.clone())
+            .with_fault(opts.fault.clone());
         let catalog = {
             let mut catalog = ServiceCatalog::new()
-                .with_runtime(scheduler.runtime().clone())
+                .with_runtime(runtime.clone())
                 .with_retry(opts.retry)
                 .with_fault(opts.fault.clone());
             if let Some(dir) = &opts.cache_dir {
@@ -398,7 +398,7 @@ impl Daemon {
         let notes = tx.clone();
         let daemon = Daemon {
             catalog,
-            scheduler,
+            runtime,
             queries: HashMap::new(),
             tokens: 0,
             watchers: HashMap::new(),
@@ -421,7 +421,7 @@ impl Daemon {
     /// The global queued-search backlog (the socket front end's
     /// high-water admission input).
     pub(crate) fn queued_search(&self) -> usize {
-        self.scheduler.runtime().stats().queued_search
+        self.runtime.stats().queued_search
     }
 
     /// How much of the daemon one client is using.
@@ -456,7 +456,7 @@ impl Daemon {
         &mut self,
         out: &mut impl Transport,
         client: u64,
-        request: Request<ServiceInputs>,
+        request: Request,
     ) -> std::io::Result<()> {
         let op = request.op();
         match request {
@@ -496,7 +496,7 @@ impl Daemon {
                 let post = Arc::clone(&self.post);
                 let deliver_key = key.clone();
                 let submission =
-                    self.scheduler.submit_catalog_async(&self.catalog, &spec, move |submitted| {
+                    self.runtime.submit_catalog_async(&self.catalog, &spec, move |submitted| {
                         post(Note::Delivered { key: deliver_key, token, submitted });
                     });
                 match submission {
@@ -611,7 +611,7 @@ impl Daemon {
     /// job), the *requesting client's* in-flight query ids with their
     /// states, and every client's occupancy.
     fn status(&self, client: u64) -> Value {
-        let stats = self.scheduler.runtime().stats();
+        let stats = self.runtime.stats();
         let search_running = stats.running - stats.analysis_running;
         let runtime = Value::obj([
             ("slots", Value::Int(stats.slots as i64)),

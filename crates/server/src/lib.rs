@@ -8,12 +8,13 @@
 //! queries — analysis runs once per service (and persists across
 //! restarts with `--cache-dir`), synthesis streams.
 //!
-//! Every unit of work is a job on one shared
+//! Every unit of work is a job on one
 //! [`JobRuntime`](apiphany_core::JobRuntime): synthesis sessions are
-//! `Search` jobs submitted by the
-//! [`Scheduler`](apiphany_core::Scheduler), a service's analyze-once
-//! phase is an `Analysis` job, and the two kinds share the pool's slots
-//! fairly (mining can never occupy every slot). **One serving loop**
+//! `Search` jobs it launches
+//! ([`submit_catalog_async`](apiphany_core::JobRuntime::submit_catalog_async)),
+//! a service's analyze-once phase is an `Analysis` job the catalog
+//! queues on it, and the two kinds share its slots fairly (mining can
+//! never occupy every slot). **One serving loop**
 //! blocks on one channel that every source of work posts to — input,
 //! analysis-job continuations and transitions, and each live session's
 //! wake hook — and handles messages in posting order. Nothing blocks

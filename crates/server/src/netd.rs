@@ -5,9 +5,10 @@
 //! reader threads post connects, frames and disconnects to the one
 //! serving loop, and this front end handles them there. Each frame is
 //! decoded before it is posted, on its connection's reader thread: the
-//! auth gate, the version check, request parsing and `register`
-//! resolution ([`Decoded`]) all run there, so a frame the daemon refuses
-//! never opens a file, and the loop only executes ready requests:
+//! auth gate, the version check, and request parsing with its `register`
+//! resolution ([`Decoded`]) all run there, so a frame the gate or the
+//! version check refuses never opens a file, and the loop only executes
+//! ready requests:
 //!
 //! * every accepted connection gets a `hello` frame announcing the
 //!   protocol version and this server's limits, then speaks the same ops
@@ -46,8 +47,8 @@ use apiphany_net::{
 
 use crate::daemon::{serve, Daemon, DaemonOptions, DaemonSummary, Msg, Transport};
 use crate::proto::{
-    coded_error_response, ok_response, Decoded, Request, ServiceInputs, CODE_BAD_VERSION,
-    CODE_DRAINING, CODE_OVERLOADED, CODE_PARSE_ERROR, CODE_UNAUTHORIZED,
+    coded_error_response, ok_response, Decoded, Request, CODE_BAD_VERSION, CODE_DRAINING,
+    CODE_OVERLOADED, CODE_PARSE_ERROR, CODE_UNAUTHORIZED,
 };
 
 /// How often the loop checks the SIGTERM/SIGINT latch until a drain
@@ -398,7 +399,7 @@ impl Net<'_> {
         &mut self,
         daemon: &mut Daemon,
         client: u64,
-        request: Request<ServiceInputs>,
+        request: Request,
     ) -> io::Result<()> {
         match request {
             Request::Shutdown => {

@@ -8,7 +8,7 @@
 //! without ambiguity. See the crate docs for a worked transcript.
 
 use std::io::Read;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
 use apiphany_core::{
@@ -21,14 +21,14 @@ use apiphany_net::DEFAULT_MAX_FRAME;
 use apiphany_spec::codec::library_from_value;
 use apiphany_spec::{witnesses_from_json, Library, Witness};
 
-/// A parsed request line. `S` is what a `register` carries: the
-/// [`RegisterSource`] as parsed, or the [`ServiceInputs`] that
-/// [`Request::resolve`] turns it into.
+/// A parsed request line, ready for the serving loop: a `register`
+/// carries its decoded inputs, with any artifact file already read and
+/// any builtin already built.
 #[derive(Debug)]
-pub enum Request<S = RegisterSource> {
+pub enum Request {
     /// Register a service under a name; with `prewarm` the analyze-once
     /// job starts immediately instead of waiting for the first query.
-    Register { service: String, source: S, prewarm: bool },
+    Register { service: String, source: ServiceInputs, prewarm: bool },
     /// Open a streaming query; `id` tags every event it produces.
     Query { id: String, spec: QuerySpec },
     /// Cancel the running (or queued) query with this id.
@@ -52,23 +52,11 @@ pub enum Request<S = RegisterSource> {
     Shutdown,
 }
 
-/// Where a `register` request gets its analysis inputs from.
-#[derive(Debug)]
-pub enum RegisterSource {
-    /// A bundled service: `fig7` (the paper's running example),
-    /// `slack`, `stripe`, or `square` — library plus scripted scenario
-    /// witnesses.
-    Builtin(String),
-    /// An inline [`AnalysisArtifact`] JSON object.
-    Artifact(Box<AnalysisArtifact>),
-    /// A path to an artifact JSON file on disk.
-    ArtifactPath(PathBuf),
-    /// An inline spec+witnesses pair (the raw analysis inputs).
-    Spec { library: Box<Library>, witnesses: Vec<Witness> },
-}
-
-/// What the catalog registers a service from: a [`RegisterSource`] with
-/// its file read and decoded, or its builtin built.
+/// What the catalog registers a service from. A `register` request names
+/// one of four sources: a `builtin` (`fig7`, the paper's running example,
+/// or `slack`, `stripe` or `square`: library plus scripted scenario
+/// witnesses), an inline `artifact`, an `artifact_path` to an artifact
+/// file, or an inline `library` with optional `witnesses`.
 #[derive(Debug)]
 pub enum ServiceInputs {
     /// A decoded analysis artifact (inline or from `artifact_path`).
@@ -77,42 +65,40 @@ pub enum ServiceInputs {
     Spec { library: Box<Library>, witnesses: Vec<Witness> },
 }
 
-/// The largest `artifact_path` file a `register` reads: the most an
-/// inline `artifact` can carry in one frame.
-const MAX_ARTIFACT_FILE: u64 = DEFAULT_MAX_FRAME as u64;
-
-impl RegisterSource {
-    /// Resolves the source into catalog inputs: reads and decodes an
-    /// `artifact_path` file, or builds a `builtin` service. The only
-    /// request step that touches the file system; the front ends run it
-    /// on the thread the request arrived on, never on the serving loop.
-    ///
-    /// # Errors
-    ///
-    /// The `register` error message: an unknown builtin, or
-    /// `"<path>: …"` for a file that cannot be read (missing, not a
+/// Why a request was refused before reaching the serving loop.
+#[derive(Debug)]
+pub enum Refusal {
+    /// Not a well-formed request (or not JSON): answered with a
+    /// `parse_error`.
+    Malformed(String),
+    /// A well-formed `register` whose source does not resolve: an unknown
+    /// builtin, or an `artifact_path` that cannot be read (missing, not a
     /// regular file, over 16 MiB) or does not decode as an artifact.
-    pub fn resolve(self) -> Result<ServiceInputs, String> {
+    /// Answered as a `register` error.
+    Register(String),
+}
+
+impl From<String> for Refusal {
+    fn from(message: String) -> Refusal {
+        Refusal::Malformed(message)
+    }
+}
+
+impl Refusal {
+    /// The reply that ends the refused request.
+    pub fn reply(&self) -> Value {
         match self {
-            RegisterSource::Builtin(name) => match crate::builtin(&name) {
-                None => Err(format!(
-                    "unknown builtin '{name}' (available: {})",
-                    crate::BUILTIN_NAMES.join(", ")
-                )),
-                Some((library, witnesses)) => {
-                    Ok(ServiceInputs::Spec { library: Box::new(library), witnesses })
-                }
-            },
-            RegisterSource::Artifact(artifact) => Ok(ServiceInputs::Artifact(artifact)),
-            RegisterSource::ArtifactPath(path) => read_artifact(&path)
-                .map(|artifact| ServiceInputs::Artifact(Box::new(artifact)))
-                .map_err(|e| format!("{}: {e}", path.display())),
-            RegisterSource::Spec { library, witnesses } => {
-                Ok(ServiceInputs::Spec { library, witnesses })
+            Refusal::Malformed(message) => {
+                coded_error_response(None, None, CODE_PARSE_ERROR, message)
             }
+            Refusal::Register(message) => error_response(Some("register"), None, message),
         }
     }
 }
+
+/// The largest `artifact_path` file a `register` reads: the most an
+/// inline `artifact` can carry in one frame.
+const MAX_ARTIFACT_FILE: u64 = DEFAULT_MAX_FRAME as u64;
 
 /// Reads and decodes the artifact file at `path`, refusing anything but
 /// a regular file of at most [`MAX_ARTIFACT_FILE`] bytes — a device such
@@ -145,19 +131,23 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for the error response.
-    pub fn parse(line: &str) -> Result<Request, String> {
+    /// The [`Refusal`] whose reply ends the request.
+    pub fn parse(line: &str) -> Result<Request, Refusal> {
         let v = apiphany_json::parse(line).map_err(|e| format!("not a JSON object: {e}"))?;
         Request::from_value(&v)
     }
 
     /// Parses one already-decoded request object (the framed transport
-    /// hands these over directly).
+    /// hands these over directly). A `register` source is resolved here
+    /// too: an `artifact_path` file is read and decoded, a `builtin` is
+    /// built. This is the only request step that touches the file system;
+    /// the front ends run it on the thread the request arrived on, never
+    /// on the serving loop.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for the error response.
-    pub fn from_value(v: &Value) -> Result<Request, String> {
+    /// The [`Refusal`] whose reply ends the request.
+    pub fn from_value(v: &Value) -> Result<Request, Refusal> {
         let op = v
             .get("op")
             .and_then(Value::as_str)
@@ -165,22 +155,34 @@ impl Request {
         match op {
             "register" => {
                 let service = require_str(v, "service")?;
+                // A source that does not resolve (an unknown builtin, an
+                // unreadable artifact file) is a `register` error, reported
+                // only if the rest of the request is well formed.
                 let source = if let Some(builtin) = v.get("builtin") {
-                    RegisterSource::Builtin(
-                        builtin
-                            .as_str()
-                            .ok_or_else(|| "'builtin' must be a name".to_string())?
-                            .to_string(),
-                    )
+                    let name =
+                        builtin.as_str().ok_or_else(|| "'builtin' must be a name".to_string())?;
+                    crate::builtin(name)
+                        .map(|(library, witnesses)| ServiceInputs::Spec {
+                            library: Box::new(library),
+                            witnesses,
+                        })
+                        .ok_or_else(|| {
+                            format!(
+                                "unknown builtin '{name}' (available: {})",
+                                crate::BUILTIN_NAMES.join(", ")
+                            )
+                        })
                 } else if let Some(artifact) = v.get("artifact") {
                     let artifact = AnalysisArtifact::from_value(artifact)
                         .map_err(|e| format!("inline artifact: {e}"))?;
-                    RegisterSource::Artifact(Box::new(artifact))
+                    Ok(ServiceInputs::Artifact(Box::new(artifact)))
                 } else if let Some(path) = v.get("artifact_path") {
-                    RegisterSource::ArtifactPath(PathBuf::from(
-                        path.as_str()
-                            .ok_or_else(|| "'artifact_path' must be a path".to_string())?,
-                    ))
+                    let path = Path::new(
+                        path.as_str().ok_or_else(|| "'artifact_path' must be a path".to_string())?,
+                    );
+                    read_artifact(path)
+                        .map(|artifact| ServiceInputs::Artifact(Box::new(artifact)))
+                        .map_err(|e| format!("{}: {e}", path.display()))
                 } else if let Some(library) = v.get("library") {
                     let library = library_from_value(library)
                         .map_err(|e| format!("inline library: {e}"))?;
@@ -189,19 +191,20 @@ impl Request {
                         Some(w) => witnesses_from_json(w)
                             .map_err(|e| format!("inline witnesses: {e}"))?,
                     };
-                    RegisterSource::Spec { library: Box::new(library), witnesses }
+                    Ok(ServiceInputs::Spec { library: Box::new(library), witnesses })
                 } else {
-                    return Err(
+                    return Err(Refusal::Malformed(
                         "register needs one of 'builtin', 'artifact', 'artifact_path', \
                          or 'library' (+ optional 'witnesses')"
                             .to_string(),
-                    );
+                    ));
                 };
                 let prewarm = match v.get("prewarm") {
                     None => false,
                     Some(Value::Bool(b)) => *b,
-                    Some(_) => return Err("'prewarm' must be a boolean".to_string()),
+                    Some(_) => return Err("'prewarm' must be a boolean".to_string().into()),
                 };
+                let source = source.map_err(Refusal::Register)?;
                 Ok(Request::Register { service, source, prewarm })
             }
             "query" => {
@@ -209,7 +212,7 @@ impl Request {
                 let spec =
                     QuerySpec::from_value(v).map_err(|e| format!("query spec: {e}"))?;
                 if spec.service.is_none() {
-                    return Err("query must name a 'service'".to_string());
+                    return Err("query must name a 'service'".to_string().into());
                 }
                 Ok(Request::Query { id, spec })
             }
@@ -222,36 +225,10 @@ impl Request {
             "metrics" => Ok(Request::Metrics),
             "dump-recorder" => Ok(Request::DumpRecorder),
             "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown op '{other}'")),
+            other => Err(format!("unknown op '{other}'").into()),
         }
     }
 
-    /// Resolves a `register` request's source ([`RegisterSource::resolve`]);
-    /// every other request passes through unchanged.
-    ///
-    /// # Errors
-    ///
-    /// The `register` error message of a source that does not resolve.
-    pub fn resolve(self) -> Result<Request<ServiceInputs>, String> {
-        Ok(match self {
-            Request::Register { service, source, prewarm } => {
-                Request::Register { service, source: source.resolve()?, prewarm }
-            }
-            Request::Query { id, spec } => Request::Query { id, spec },
-            Request::Cancel { id } => Request::Cancel { id },
-            Request::List => Request::List,
-            Request::Inspect { service } => Request::Inspect { service },
-            Request::Lint { service } => Request::Lint { service },
-            Request::Evict { service } => Request::Evict { service },
-            Request::Status => Request::Status,
-            Request::Metrics => Request::Metrics,
-            Request::DumpRecorder => Request::DumpRecorder,
-            Request::Shutdown => Request::Shutdown,
-        })
-    }
-}
-
-impl<S> Request<S> {
     /// The `op` string of this request (echoed in responses).
     pub fn op(&self) -> &'static str {
         match self {
@@ -274,8 +251,9 @@ impl<S> Request<S> {
 /// loop: decoded there, so the loop never parses, reads a file or
 /// builds a service.
 pub(crate) enum Decoded {
-    /// Parsed and resolved: the loop executes it as it is.
-    Ready(Request<ServiceInputs>),
+    /// Parsed, with any `register` source resolved: the loop executes it
+    /// as it is.
+    Ready(Request),
     /// The reply that ends a request the loop never executes: a
     /// `parse_error`, a `register` whose source did not resolve, or (on
     /// sockets) a `bad_version`.
@@ -283,24 +261,12 @@ pub(crate) enum Decoded {
 }
 
 impl Decoded {
-    /// Resolves a parse result ([`Request::parse`] of a line, or
-    /// [`Request::from_value`] of a frame) into what the loop receives.
-    pub(crate) fn new(parsed: Result<Request, String>) -> Decoded {
-        let request = match parsed {
-            Ok(request) => request,
-            Err(message) => {
-                return Decoded::Refused(coded_error_response(
-                    None,
-                    None,
-                    CODE_PARSE_ERROR,
-                    &message,
-                ))
-            }
-        };
-        let op = request.op();
-        match request.resolve() {
-            Ok(ready) => Decoded::Ready(ready),
-            Err(message) => Decoded::Refused(error_response(Some(op), None, &message)),
+    /// What the loop receives for a parse result ([`Request::parse`] of
+    /// a line, or [`Request::from_value`] of a frame).
+    pub(crate) fn new(parsed: Result<Request, Refusal>) -> Decoded {
+        match parsed {
+            Ok(request) => Decoded::Ready(request),
+            Err(refusal) => Decoded::Refused(refusal.reply()),
         }
     }
 }
@@ -670,11 +636,8 @@ mod tests {
             .unwrap();
         assert!(matches!(
             reg,
-            Request::Register {
-                ref service,
-                source: RegisterSource::Builtin(ref b),
-                prewarm: false,
-            } if service == "demo" && b == "fig7"
+            Request::Register { ref service, source: ServiceInputs::Spec { .. }, prewarm: false }
+                if service == "demo"
         ));
         let warm = Request::parse(
             r#"{"op":"register","service":"demo","builtin":"fig7","prewarm":true}"#,
@@ -723,9 +686,16 @@ mod tests {
             (r#"{"op":"query","service":"demo","output":"[X]"}"#, "missing 'id'"),
             (r#"{"op":"cancel","id":""}"#, "must not be empty"),
         ] {
-            let err = Request::parse(line).unwrap_err();
+            let Err(Refusal::Malformed(err)) = Request::parse(line) else {
+                panic!("{line}: not refused as malformed");
+            };
             assert!(err.contains(needle), "{line}: {err}");
         }
+        let unknown = Request::parse(r#"{"op":"register","service":"x","builtin":"nope"}"#);
+        assert!(
+            matches!(&unknown, Err(Refusal::Register(err)) if err.contains("unknown builtin")),
+            "{unknown:?}"
+        );
     }
 
     #[test]

@@ -224,6 +224,14 @@ fn hello_version_gate_and_lane_status_over_tcp() {
             );
         }
     }
+    // The default options run 2 slots; analysis gets at most 1 of them.
+    for (path, want) in [
+        (&["runtime", "slots"][..], 2),
+        (&["lanes", "search", "cap"][..], 2),
+        (&["lanes", "analysis", "cap"][..], 1),
+    ] {
+        assert_eq!(status.path(path).and_then(Value::as_int), Some(want), "{path:?}");
+    }
     assert!(status.get("clients").and_then(Value::as_array).is_some());
 
     let summary = server.drain();

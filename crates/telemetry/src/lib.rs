@@ -1,14 +1,12 @@
 //! `apiphany_telemetry` — the observability plane of the APIphany stack.
 //!
-//! One [`Telemetry`] handle bundles the three instruments every layer
+//! One [`Telemetry`] handle bundles the two instruments every layer
 //! shares:
 //!
 //! * a [`registry`] of named **counters, gauges, and log-scale
 //!   histograms** — per-worker-sharded relaxed atomics, aggregated only
 //!   at snapshot time, so the DFS hot path pays one relaxed add (and a
 //!   *disabled* handle pays one branch);
-//! * **tracing [`span`]s** — scoped wall-clock timers with parent ids,
-//!   buffered per thread and flushed into a bounded shared log;
 //! * a **flight [`recorder`]** — a bounded ring of recent structured
 //!   events (job transitions, admission decisions, disconnects,
 //!   fault-plane trips, cache quarantines), dumpable on demand as a
@@ -28,13 +26,11 @@
 //! let nodes = telemetry.counter("search.nodes");
 //! nodes.add(41);
 //! nodes.inc();
-//! {
-//!     let _span = telemetry.span("analyze");
-//!     telemetry.record("cache", [("service", "demo"), ("probe", "miss")]);
-//! }
+//! telemetry.histogram("catalog.analyze_us").record(1_250);
+//! telemetry.record("cache", [("service", "demo"), ("probe", "miss")]);
 //! let snapshot = telemetry.snapshot();
 //! assert_eq!(snapshot.counter("search.nodes"), Some(42));
-//! assert_eq!(snapshot.histogram("span.analyze").unwrap().count(), 1);
+//! assert_eq!(snapshot.histogram("catalog.analyze_us").unwrap().count(), 1);
 //! assert_eq!(telemetry.recorder_dump()[0].field("probe"), Some("miss"));
 //!
 //! // The disabled plane accepts the same calls for free.
@@ -45,7 +41,6 @@
 
 pub mod recorder;
 pub mod registry;
-pub mod span;
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,19 +51,17 @@ pub use recorder::{RecordedEvent, Recorder, DEFAULT_RECORDER_CAP};
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, HISTOGRAM_BUCKETS,
 };
-pub use span::{Span, SpanLog, SpanRecord, DEFAULT_SPAN_CAP};
 
 #[derive(Debug)]
 struct Inner {
     start: Instant,
     registry: Registry,
     recorder: Recorder,
-    spans: Arc<SpanLog>,
 }
 
 /// The shared observability handle. See the crate docs.
 ///
-/// Clones share one registry/recorder/span log. The default value is the
+/// Clones share one registry and recorder. The default value is the
 /// **disabled** plane: every operation is a single `Option` branch and
 /// every accessor reports empty.
 #[derive(Debug, Clone, Default)]
@@ -77,21 +70,15 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// An enabled plane with default capacities.
+    /// An enabled plane, keeping the last [`DEFAULT_RECORDER_CAP`]
+    /// flight-recorder events.
     pub fn enabled() -> Telemetry {
-        Telemetry::with_capacities(DEFAULT_RECORDER_CAP, DEFAULT_SPAN_CAP)
-    }
-
-    /// An enabled plane with explicit flight-recorder and span-log
-    /// capacities (tests shrink them to exercise wraparound).
-    pub fn with_capacities(recorder_cap: usize, span_cap: usize) -> Telemetry {
         let start = Instant::now();
         Telemetry {
             inner: Some(Arc::new(Inner {
                 start,
                 registry: Registry::default(),
-                recorder: Recorder::new(recorder_cap, start),
-                spans: Arc::new(SpanLog::new(span_cap, start)),
+                recorder: Recorder::new(DEFAULT_RECORDER_CAP, start),
             })),
         }
     }
@@ -135,17 +122,6 @@ impl Telemetry {
         match &self.inner {
             Some(inner) => inner.registry.histogram(name),
             None => Histogram::default(),
-        }
-    }
-
-    /// Opens a scoped timer span; dropping it records the duration into
-    /// the span log and the `span.<name>` histogram. Inert when disabled.
-    pub fn span(&self, name: &str) -> Span {
-        match &self.inner {
-            Some(inner) => {
-                inner.spans.begin(name, inner.registry.histogram(&format!("span.{name}")))
-            }
-            None => Span::default(),
         }
     }
 
@@ -209,11 +185,6 @@ impl Telemetry {
         self.inner.as_ref().map_or(Value::Array(Vec::new()), |inner| inner.recorder.dump_value())
     }
 
-    /// The retained completed spans, oldest first (empty when disabled).
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        self.inner.as_ref().map_or_else(Vec::new, |inner| inner.spans.recent())
-    }
-
     /// Writes the flight-recorder timeline to stderr, one JSON event per
     /// line, bracketed by a reason header — the automatic post-mortem
     /// dump daemons emit on drain or panic. A no-op when disabled or
@@ -243,10 +214,8 @@ mod tests {
         t.gauge("g").set(7);
         t.histogram("h").record(7);
         t.record("e", [("k", "v")]);
-        drop(t.span("s"));
         assert!(t.snapshot().counters.is_empty());
         assert!(t.recorder_dump().is_empty());
-        assert!(t.spans().is_empty());
         assert_eq!(t.recorded_events(), 0);
         let text = t.snapshot_value().to_json();
         assert!(text.contains("\"counters\":{}"), "{text}");

@@ -1,6 +1,5 @@
-//! Worker pools: a scoped team with deterministic, in-order result
-//! delivery for the parallel path search, and a persistent shared pool
-//! for the serving layer.
+//! The parallel path search's worker team: a scoped pool with
+//! deterministic, in-order result delivery.
 //!
 //! The parallel path search needs one property above all: *run
 //! independent jobs on K threads, and hand each result to a single
@@ -20,10 +19,6 @@
 //! reference passed to the producer) *inside* long-running jobs, so
 //! cancellation is prompt.
 //!
-//! [`SharedPool`] is the other primitive: long-lived threads serving
-//! owned `'static` jobs from two FIFO lanes, over which the serving
-//! layer multiplexes whole synthesis sessions.
-//!
 //! ```
 //! use apiphany_ttn::pool::team_scope;
 //!
@@ -41,9 +36,8 @@
 //! ```
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex};
 
 /// Shared state of a [`team_scope`] run: the seq-tagged job queue, the
 /// reorder buffer, and the delivery cursors.
@@ -228,279 +222,9 @@ where
     })
 }
 
-/// Which of a [`SharedPool`]'s two queues a job waits in.
-///
-/// The serving layer runs two very different job populations over one
-/// pool: interactive synthesis sessions (`Search`) and the much coarser
-/// analyze-once work — type mining plus TTN construction — of a cold
-/// service (`Analysis`). A single FIFO would let a burst of analysis
-/// jobs occupy every slot and stall all event streaming, so the pool
-/// keeps one queue per lane and picks between them fairly (see
-/// [`SharedPool::spawn_lane`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lane {
-    /// Interactive synthesis runs: FIFO among themselves (the oldest
-    /// waiting session always gets the next search-lane slot).
-    Search,
-    /// Analyze-once jobs: FIFO among themselves, capped so they can never
-    /// occupy every slot of a multi-slot pool.
-    Analysis,
-}
-
-/// A persistent, shareable worker pool: `slots` long-lived threads serving
-/// two FIFO job lanes with per-lane fairness.
-///
-/// Where [`team_scope`] is the *intra-run* primitive (split one search
-/// level across scoped threads, borrow freely), `SharedPool` is the
-/// *inter-run* primitive the serving layer multiplexes whole synthesis
-/// sessions over: each submitted job is an owned `'static` closure (a
-/// session worker body), at most `slots` of them run at once, and queued
-/// jobs start in submission order as slots free up — the oldest waiting
-/// session always gets the next search-lane slot, so a burst of queries
-/// drains fairly instead of starving the early ones.
-///
-/// Jobs land in one of two [`Lane`]s. Each lane is FIFO on its own; when
-/// both lanes have work, a freed slot alternates between them (whichever
-/// kind ran last yields to the other), and at most `max(1, slots - 1)`
-/// analysis jobs execute concurrently — so on any pool with two or more
-/// slots, at least one slot is always available to searches and mining
-/// can never starve query traffic.
-///
-/// Cloning the handle shares the same threads and queue (an explicit
-/// handle count, not `Arc::strong_count`, decides shutdown — the count
-/// would race concurrent drops). The pool shuts down when the last handle
-/// is dropped: workers finish the jobs already queued and exit.
-///
-/// ```
-/// use apiphany_ttn::pool::SharedPool;
-/// use std::sync::mpsc;
-///
-/// let pool = SharedPool::new(2);
-/// let (tx, rx) = mpsc::channel();
-/// for i in 0..8 {
-///     let tx = tx.clone();
-///     pool.spawn(move || tx.send(i * i).unwrap());
-/// }
-/// drop(tx);
-/// let mut squares: Vec<i32> = rx.iter().collect();
-/// squares.sort_unstable();
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-/// ```
-pub struct SharedPool {
-    inner: Arc<SharedQueue>,
-}
-
-/// The queue every worker and every handle shares.
-struct SharedQueue {
-    state: Mutex<QueueState>,
-    available: Condvar,
-    slots: usize,
-    /// Concurrent-analysis cap: `max(1, slots - 1)`.
-    analysis_cap: usize,
-    /// Live external handles; the drop that takes this to zero shuts the
-    /// pool down.
-    handles: AtomicUsize,
-}
-
-struct QueueState {
-    search: VecDeque<Box<dyn FnOnce() + Send>>,
-    analysis: VecDeque<Box<dyn FnOnce() + Send>>,
-    /// Set when the last external handle drops; workers drain and exit.
-    shutdown: bool,
-    /// Jobs currently executing on a worker (for [`SharedPool::in_flight`]).
-    running: usize,
-    /// Analysis jobs currently executing (bounded by `analysis_cap`).
-    analysis_running: usize,
-    /// When both lanes have an eligible job, take the analysis one iff
-    /// this is set; every take flips preference to the *other* lane, so
-    /// mixed backlogs drain alternately instead of one kind monopolizing
-    /// freed slots.
-    prefer_analysis: bool,
-    /// Worker join handles, reaped by the last external handle's drop.
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl QueueState {
-    /// Picks the next job a worker should run, honoring the analysis cap
-    /// and the lane-alternation preference. `None` = nothing eligible.
-    fn take_job(&mut self, analysis_cap: usize) -> Option<(Box<dyn FnOnce() + Send>, Lane)> {
-        let analysis_ok =
-            !self.analysis.is_empty() && self.analysis_running < analysis_cap;
-        let lane = match (!self.search.is_empty(), analysis_ok) {
-            (false, false) => return None,
-            (true, false) => Lane::Search,
-            (false, true) => Lane::Analysis,
-            (true, true) => {
-                if self.prefer_analysis {
-                    Lane::Analysis
-                } else {
-                    Lane::Search
-                }
-            }
-        };
-        self.prefer_analysis = lane == Lane::Search;
-        self.running += 1;
-        let job = match lane {
-            Lane::Search => self.search.pop_front().expect("lane checked non-empty"),
-            Lane::Analysis => {
-                self.analysis_running += 1;
-                self.analysis.pop_front().expect("lane checked non-empty")
-            }
-        };
-        Some((job, lane))
-    }
-}
-
-impl std::fmt::Debug for SharedPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedPool").field("slots", &self.inner.slots).finish()
-    }
-}
-
-impl SharedPool {
-    /// Starts a pool with `slots` worker threads (clamped to at least 1).
-    pub fn new(slots: usize) -> SharedPool {
-        let slots = slots.max(1);
-        let inner = Arc::new(SharedQueue {
-            state: Mutex::new(QueueState {
-                search: VecDeque::new(),
-                analysis: VecDeque::new(),
-                shutdown: false,
-                running: 0,
-                analysis_running: 0,
-                prefer_analysis: false,
-                workers: Vec::new(),
-            }),
-            available: Condvar::new(),
-            slots,
-            analysis_cap: slots.saturating_sub(1).max(1),
-            handles: AtomicUsize::new(1),
-        });
-        let mut workers = Vec::with_capacity(slots);
-        for _ in 0..slots {
-            let queue = Arc::clone(&inner);
-            workers.push(std::thread::spawn(move || worker_loop(&queue)));
-        }
-        inner.state.lock().expect("pool lock").workers = workers;
-        SharedPool { inner }
-    }
-
-    /// The number of concurrently running jobs this pool allows.
-    pub fn slots(&self) -> usize {
-        self.inner.slots
-    }
-
-    /// Jobs submitted but not yet started (waiting for a free slot),
-    /// summed over both lanes.
-    pub fn queued(&self) -> usize {
-        let state = self.inner.state.lock().expect("pool lock");
-        state.search.len() + state.analysis.len()
-    }
-
-    /// Jobs waiting in one specific [`Lane`].
-    pub fn queued_lane(&self, lane: Lane) -> usize {
-        let state = self.inner.state.lock().expect("pool lock");
-        match lane {
-            Lane::Search => state.search.len(),
-            Lane::Analysis => state.analysis.len(),
-        }
-    }
-
-    /// Jobs currently executing on a worker.
-    pub fn in_flight(&self) -> usize {
-        self.inner.state.lock().expect("pool lock").running
-    }
-
-    /// Analysis-lane jobs currently executing (never exceeds
-    /// `max(1, slots - 1)`).
-    pub fn analysis_in_flight(&self) -> usize {
-        self.inner.state.lock().expect("pool lock").analysis_running
-    }
-
-    /// Submits a search-lane job. It starts immediately if a slot is
-    /// free, otherwise it waits in FIFO order behind earlier search-lane
-    /// submissions. (Shorthand for [`SharedPool::spawn_lane`] with
-    /// [`Lane::Search`].)
-    pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        self.spawn_lane(Lane::Search, job);
-    }
-
-    /// Submits a job into a specific [`Lane`]. Within a lane jobs start
-    /// in submission order; across lanes a freed slot alternates between
-    /// the two backlogs, and concurrent analysis jobs are capped at
-    /// `max(1, slots - 1)` so mining can never occupy every slot of a
-    /// multi-slot pool.
-    pub fn spawn_lane(&self, lane: Lane, job: impl FnOnce() + Send + 'static) {
-        let mut state = self.inner.state.lock().expect("pool lock");
-        match lane {
-            Lane::Search => state.search.push_back(Box::new(job)),
-            Lane::Analysis => state.analysis.push_back(Box::new(job)),
-        }
-        drop(state);
-        self.inner.available.notify_one();
-    }
-}
-
-fn worker_loop(queue: &SharedQueue) {
-    loop {
-        let (job, lane) = {
-            let mut state = queue.state.lock().expect("pool lock");
-            loop {
-                if let Some(taken) = state.take_job(queue.analysis_cap) {
-                    break taken;
-                }
-                if state.shutdown {
-                    return;
-                }
-                state = queue.available.wait(state).expect("pool lock");
-            }
-        };
-        // A panicking job must not take the worker (and its slot) down
-        // with it: the queue behind it would never drain. The payload is
-        // swallowed — a job owns its own error reporting.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-        let mut state = queue.state.lock().expect("pool lock");
-        state.running -= 1;
-        if lane == Lane::Analysis {
-            state.analysis_running -= 1;
-            // Freeing analysis capacity can make a queued analysis job
-            // eligible for a *parked* worker (this worker may take a
-            // search job instead under alternation); wake one.
-            if !state.analysis.is_empty() {
-                queue.available.notify_one();
-            }
-        }
-    }
-}
-
-impl Clone for SharedPool {
-    fn clone(&self) -> SharedPool {
-        self.inner.handles.fetch_add(1, Ordering::Relaxed);
-        SharedPool { inner: Arc::clone(&self.inner) }
-    }
-}
-
-impl Drop for SharedPool {
-    fn drop(&mut self) {
-        if self.inner.handles.fetch_sub(1, Ordering::AcqRel) != 1 {
-            return; // other external handles remain
-        }
-        let workers = {
-            let mut state = self.inner.state.lock().expect("pool lock");
-            state.shutdown = true;
-            std::mem::take(&mut state.workers)
-        };
-        self.inner.available.notify_all();
-        for worker in workers {
-            let _ = worker.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
 
     #[test]
     fn team_delivers_streamed_jobs_in_push_order() {
@@ -638,157 +362,5 @@ mod tests {
         team_scope(2, |job: usize, _, _| job, |team| {
             assert!(team.next().is_none());
         });
-    }
-
-    #[test]
-    fn shared_pool_runs_every_job() {
-        let pool = SharedPool::new(3);
-        assert_eq!(pool.slots(), 3);
-        let (tx, rx) = mpsc::channel();
-        for i in 0..50usize {
-            let tx = tx.clone();
-            pool.spawn(move || tx.send(i).unwrap());
-        }
-        drop(tx);
-        let mut got: Vec<usize> = rx.iter().collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn shared_pool_caps_concurrency_at_slots() {
-        let pool = SharedPool::new(2);
-        let live = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = mpsc::channel();
-        for _ in 0..16 {
-            let (live, peak, tx) = (Arc::clone(&live), Arc::clone(&peak), tx.clone());
-            pool.spawn(move || {
-                let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-                peak.fetch_max(now, Ordering::SeqCst);
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                live.fetch_sub(1, Ordering::SeqCst);
-                tx.send(()).unwrap();
-            });
-        }
-        drop(tx);
-        assert_eq!(rx.iter().count(), 16);
-        assert!(peak.load(Ordering::SeqCst) <= 2);
-    }
-
-    #[test]
-    fn shared_pool_serves_queued_jobs_in_submission_order() {
-        // One slot: start order must equal submission order exactly.
-        let pool = SharedPool::new(1);
-        let (tx, rx) = mpsc::channel();
-        for i in 0..20usize {
-            let tx = tx.clone();
-            pool.spawn(move || tx.send(i).unwrap());
-        }
-        drop(tx);
-        assert_eq!(rx.iter().collect::<Vec<_>>(), (0..20).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn shared_pool_survives_panicking_jobs() {
-        let pool = SharedPool::new(1);
-        let (tx, rx) = mpsc::channel();
-        pool.spawn(|| panic!("job blew up"));
-        // The single worker must still be alive to run the next job.
-        // (`in_flight` is not asserted: the worker decrements it after
-        // the send, so the count is racy from here.)
-        pool.spawn(move || tx.send(42).unwrap());
-        assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(10)), Ok(42));
-    }
-
-    /// The analysis cap: on a 2-slot pool at most one analysis job runs,
-    /// so a search job always finds a slot even under an analysis backlog.
-    #[test]
-    fn analysis_lane_never_occupies_every_slot() {
-        let pool = SharedPool::new(2);
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let release_rx = Arc::new(Mutex::new(release_rx));
-        let (done_tx, done_rx) = mpsc::channel::<&'static str>();
-        for _ in 0..2 {
-            let rx = Arc::clone(&release_rx);
-            let done = done_tx.clone();
-            pool.spawn_lane(Lane::Analysis, move || {
-                rx.lock().unwrap().recv().unwrap();
-                done.send("analysis").unwrap();
-            });
-        }
-        pool.spawn(move || done_tx.send("search").unwrap());
-        // Both analysis jobs are blocked/queued; the search job must
-        // complete anyway because the cap keeps one slot analysis-free.
-        assert_eq!(
-            done_rx.recv_timeout(std::time::Duration::from_secs(10)),
-            Ok("search")
-        );
-        assert!(pool.analysis_in_flight() <= 1);
-        release_tx.send(()).unwrap();
-        release_tx.send(()).unwrap();
-        assert_eq!(done_rx.iter().take(2).count(), 2);
-    }
-
-    /// Lane alternation is deterministic: after an analysis job, a freed
-    /// slot prefers the search backlog (and vice versa) — the property
-    /// the serving layer relies on so a query queued behind its service's
-    /// analysis streams before the *next* analysis job starts.
-    #[test]
-    fn freed_slots_alternate_between_lanes() {
-        let pool = SharedPool::new(1);
-        let (tx, rx) = mpsc::channel::<&'static str>();
-        let inner_pool = pool.clone();
-        let inner_tx = tx.clone();
-        pool.spawn_lane(Lane::Analysis, move || {
-            inner_tx.send("analysis-1").unwrap();
-            // Submit one job per lane from inside the running analysis
-            // job (the continuation pattern): the single worker must pick
-            // the search job first.
-            let t1 = inner_tx.clone();
-            inner_pool.spawn(move || t1.send("search").unwrap());
-            let t2 = inner_tx.clone();
-            inner_pool.spawn_lane(Lane::Analysis, move || t2.send("analysis-2").unwrap());
-        });
-        drop(tx);
-        let order: Vec<&str> = rx.iter().collect();
-        assert_eq!(order, vec!["analysis-1", "search", "analysis-2"]);
-    }
-
-    #[test]
-    fn queued_counts_are_per_lane() {
-        let pool = SharedPool::new(1);
-        let (hold_tx, hold_rx) = mpsc::channel::<()>();
-        pool.spawn(move || hold_rx.recv().unwrap());
-        // Give the blocker time to occupy the single slot, then queue one
-        // job per lane behind it.
-        while pool.in_flight() == 0 {
-            std::thread::yield_now();
-        }
-        pool.spawn(|| {});
-        pool.spawn_lane(Lane::Analysis, || {});
-        assert_eq!(pool.queued_lane(Lane::Search), 1);
-        assert_eq!(pool.queued_lane(Lane::Analysis), 1);
-        assert_eq!(pool.queued(), 2);
-        hold_tx.send(()).unwrap();
-    }
-
-    #[test]
-    fn shared_pool_drop_drains_queued_jobs() {
-        let done = Arc::new(AtomicUsize::new(0));
-        {
-            let pool = SharedPool::new(1);
-            for _ in 0..10 {
-                let done = Arc::clone(&done);
-                pool.spawn(move || {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                    done.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-            let clone = pool.clone();
-            drop(clone); // dropping a non-final handle must not shut down
-        }
-        // The final drop joins the workers after the queue drained.
-        assert_eq!(done.load(Ordering::SeqCst), 10);
     }
 }

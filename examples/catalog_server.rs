@@ -1,6 +1,6 @@
-//! Serving quickstart: one `JobRuntime` under a `ServiceCatalog` and a
-//! `Scheduler`, so analyze-once phases and synthesis sessions schedule
-//! through the same two-lane pool; one thread consumes every stream by
+//! Serving quickstart: one `JobRuntime` runs a `ServiceCatalog`'s
+//! analyze-once phases and the synthesis sessions it launches, through
+//! the same two-lane pool; one thread consumes every stream by
 //! blocking on a single channel that the sessions' wake hooks post to —
 //! the same building blocks the `synthd` serving loop is made of.
 //!
@@ -8,7 +8,7 @@
 
 use std::sync::mpsc;
 
-use apiphany_repro::core::{Event, JobRuntime, QuerySpec, Scheduler, ServiceCatalog};
+use apiphany_repro::core::{Event, JobRuntime, QuerySpec, ServiceCatalog};
 use apiphany_repro::services::Square;
 use apiphany_repro::spec::fixtures::{fig4_witnesses, fig7_library};
 use apiphany_repro::spec::Service;
@@ -18,7 +18,6 @@ fn main() {
     // and Analysis jobs (mining + TTN build), with per-kind fairness so
     // mining never occupies every slot.
     let runtime = JobRuntime::new(2);
-    let scheduler = Scheduler::with_runtime(runtime.clone());
 
     // A catalog on the same runtime registers services by name; the
     // analyze-once work runs as a cancellable background job. Add
@@ -52,8 +51,8 @@ fn main() {
         );
     }
 
-    // Queries are typed QuerySpecs routed by service name; the scheduler
-    // multiplexes any number of sessions over the runtime's slots.
+    // Queries are typed QuerySpecs routed by service name; the runtime
+    // multiplexes any number of sessions over its slots.
     let queries = [
         (
             "demo/email",
@@ -78,7 +77,7 @@ fn main() {
     let (wake, woken) = mpsc::channel();
     let mut sessions = Vec::new();
     for (i, (tag, spec)) in queries.iter().enumerate() {
-        let session = scheduler
+        let session = runtime
             .submit_catalog(&catalog, spec)
             .expect("service registered and types resolve");
         let post = wake.clone();

@@ -4,7 +4,7 @@
 //! running concurrently over one shared pool, each matching its
 //! dedicated-engine run.
 
-use apiphany_repro::core::{Engine, Event, QuerySpec, Scheduler, ServiceCatalog};
+use apiphany_repro::core::{Engine, Event, JobRuntime, QuerySpec, ServiceCatalog};
 use apiphany_repro::services::{Slack, Square, Stripe};
 use apiphany_repro::spec::Service;
 
@@ -136,9 +136,9 @@ fn two_real_services_serve_concurrently_over_one_pool() {
         "square query finds candidates: {dedicated_square:?}"
     );
 
-    let scheduler = Scheduler::new(2);
-    let mut slack_session = scheduler.submit_catalog(&catalog, &slack_spec).unwrap();
-    let mut square_session = scheduler.submit_catalog(&catalog, &square_spec).unwrap();
+    let runtime = JobRuntime::new(2);
+    let mut slack_session = runtime.submit_catalog(&catalog, &slack_spec).unwrap();
+    let mut square_session = runtime.submit_catalog(&catalog, &square_spec).unwrap();
     // Interleave the two streams by alternating polls — both sessions
     // are genuinely in flight at once on the shared pool.
     let mut slack_events = Vec::new();

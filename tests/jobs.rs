@@ -14,7 +14,7 @@
 use std::time::{Duration, Instant};
 
 use apiphany_repro::core::{
-    Budget, EngineError, JobOutcome, JobRuntime, JobState, QuerySpec, Scheduler, ServiceCatalog,
+    Budget, EngineError, JobOutcome, JobRuntime, JobState, QuerySpec, ServiceCatalog,
 };
 use apiphany_repro::services::Slack;
 use apiphany_repro::spec::fixtures::{fig4_witnesses, fig7_library};
@@ -80,7 +80,6 @@ fn evict_of_a_queued_analysis_cancels_promptly() {
     let runtime = JobRuntime::new(1);
     let catalog = ServiceCatalog::new().with_runtime(runtime.clone());
     catalog.register_spec("demo", fig7_library(), fig4_witnesses()).unwrap();
-    let scheduler = Scheduler::with_runtime(runtime.clone());
 
     // Occupy the only slot: a deep search whose events nobody pulls (the
     // worker parks on its full event buffer, holding the slot).
@@ -89,7 +88,7 @@ fn evict_of_a_queued_analysis_cancels_promptly() {
     let blocker_spec = QuerySpec::output("[Profile.email]")
         .input("channel_name", "Channel.name")
         .budget(Budget::depth(12));
-    let blocker = scheduler.submit(&blocker_engine, &blocker_spec).unwrap();
+    let blocker = runtime.submit(&blocker_engine, &blocker_spec).unwrap();
     assert!(
         eventually(5_000, || runtime.stats().running == 1),
         "blocker occupies the slot"
@@ -120,7 +119,6 @@ fn evict_of_a_queued_analysis_cancels_promptly() {
 fn runtime_stats_track_both_job_kinds() {
     let runtime = JobRuntime::new(2);
     let catalog = ServiceCatalog::new().with_runtime(runtime.clone());
-    let scheduler = Scheduler::with_runtime(runtime.clone());
     for name in ["a", "b", "c"] {
         catalog.register_spec(name, fig7_library(), fig4_witnesses()).unwrap();
     }
@@ -138,7 +136,7 @@ fn runtime_stats_track_both_job_kinds() {
         .service("a")
         .input("channel_name", "Channel.name")
         .depth(7);
-    let result = scheduler.submit_catalog(&catalog, &spec).unwrap().drain();
+    let result = runtime.submit_catalog(&catalog, &spec).unwrap().drain();
     assert_eq!(result.ranked.len(), 2);
     assert_eq!(runtime.stats().slots, 2);
     // The worker decrements its slot just after the drained session's

@@ -1,5 +1,5 @@
 //! The serving layer's headline guarantee, property-tested: a session
-//! served through the `ServiceCatalog` + `Scheduler` front door yields an
+//! served through the `ServiceCatalog` + `JobRuntime` front door yields an
 //! event stream bit-identical to a dedicated `Engine::session` run of the
 //! same query — for every slot count, under oversubscription, and under
 //! randomized concurrent interleaving of the consuming side.
@@ -13,7 +13,7 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
-use apiphany_repro::core::{Budget, Engine, Event, QuerySpec, Scheduler, ServiceCatalog};
+use apiphany_repro::core::{Budget, Engine, Event, JobRuntime, QuerySpec, ServiceCatalog};
 use apiphany_repro::spec::fixtures::{fig4_witnesses, fig7_library};
 use proptest::prelude::*;
 
@@ -85,7 +85,7 @@ impl XorShift {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Catalog+scheduler-served streams equal dedicated-engine streams,
+    /// Catalog+runtime-served streams equal dedicated-engine streams,
     /// for every slot count and search thread count, with two different
     /// services in flight and a *random* poll interleaving on the
     /// consumer side.
@@ -102,7 +102,7 @@ proptest! {
             channels_spec("demo-lite").threads(threads),
             email_spec("demo").threads(threads),
         ];
-        // Reference streams: dedicated engine sessions, no scheduler.
+        // Reference streams: dedicated engine sessions, no runtime.
         let reference: Vec<Vec<String>> = specs
             .iter()
             .map(|spec| {
@@ -111,10 +111,10 @@ proptest! {
             })
             .collect();
         // Served streams: one shared pool, random consumer interleaving.
-        let scheduler = Scheduler::new(slots);
+        let runtime = JobRuntime::new(slots);
         let mut sessions: Vec<_> = specs
             .iter()
-            .map(|spec| Some(scheduler.submit_catalog(&catalog, spec).unwrap()))
+            .map(|spec| Some(runtime.submit_catalog(&catalog, spec).unwrap()))
             .collect();
         let mut served: Vec<Vec<String>> = specs.iter().map(|_| Vec::new()).collect();
         let mut rng = XorShift(seed.wrapping_mul(2).wrapping_add(1));
@@ -147,7 +147,7 @@ proptest! {
     }
 
     /// A consumer blocked on one channel fed by the sessions' wake hooks
-    /// drains an oversubscribed scheduler with every stream intact,
+    /// drains an oversubscribed runtime with every stream intact,
     /// whatever the slot count.
     #[test]
     fn oversubscribed_multiplexer_preserves_streams(
@@ -158,11 +158,11 @@ proptest! {
         let engine = catalog.engine("demo").unwrap();
         let spec = email_spec("demo");
         let reference = stream_of(&engine.open(&spec).unwrap().collect::<Vec<_>>());
-        let scheduler = Scheduler::new(slots);
+        let runtime = JobRuntime::new(slots);
         let (wake, woken) = mpsc::channel();
         let mut sessions = Vec::new();
         for id in 0..n_sessions {
-            let session = scheduler.submit_catalog(&catalog, &spec).unwrap();
+            let session = runtime.submit_catalog(&catalog, &spec).unwrap();
             let post = wake.clone();
             session.set_wake_hook(move || {
                 let _ = post.send(id);
@@ -196,9 +196,9 @@ proptest! {
             ..Budget::depth(7)
         });
         let dedicated = stream_of(&engine.open(&spec).unwrap().collect::<Vec<_>>());
-        let scheduler = Scheduler::new(2);
+        let runtime = JobRuntime::new(2);
         let served = stream_of(
-            &scheduler
+            &runtime
                 .submit_catalog(&catalog, &spec)
                 .unwrap()
                 .collect::<Vec<_>>(),
@@ -221,15 +221,14 @@ fn catalog_services_differ() {
     );
 }
 
-/// Sessions submitted to a scheduler whose pool is shared with another
-/// scheduler still complete (slots are a shared resource, not an
-/// identity).
+/// Sessions submitted through two clones of one runtime still complete
+/// (slots are a shared resource, not an identity).
 #[test]
-fn schedulers_can_share_one_pool() {
+fn runtime_clones_share_one_pool() {
     let catalog = two_service_catalog(3);
-    let a = Scheduler::new(2);
-    let b = Scheduler::with_pool(a.pool().clone());
-    assert_eq!(b.slots(), 2);
+    let a = JobRuntime::new(2);
+    let b = a.clone();
+    assert_eq!(b.stats().slots, 2);
     let ra = a.submit_catalog(&catalog, &email_spec("demo")).unwrap().drain();
     let rb = b.submit_catalog(&catalog, &channels_spec("demo-lite")).unwrap().drain();
     assert_eq!(ra.ranked.len(), 2);
