@@ -1,9 +1,10 @@
 //! Diagnostics: stable lint codes, severities, and the JSON codec used to
 //! persist them in analysis artifacts.
 
+use std::borrow::Cow;
 use std::fmt;
 
-use apiphany_json::Value;
+use apiphany_json::{ParseJsonError, Reader, Slot, Value};
 
 /// How serious a diagnostic is.
 ///
@@ -111,14 +112,33 @@ impl Diagnostic {
         ])
     }
 
-    /// Decodes a diagnostic from its [`Diagnostic::to_value`] encoding.
-    /// Returns `None` when a field is missing or the severity is unknown.
-    pub fn from_value(value: &Value) -> Option<Diagnostic> {
-        Some(Diagnostic {
-            code: value.get("code")?.as_str()?.to_string(),
-            severity: Severity::from_name(value.get("severity")?.as_str()?)?,
-            location: value.get("location")?.as_str()?.to_string(),
-            message: value.get("message")?.as_str()?.to_string(),
+    /// Reads a diagnostic from the JSON text of its
+    /// [`Diagnostic::to_value`] encoding. Returns `None`, having consumed
+    /// the value, when a field is missing or not a string, or the
+    /// severity is unknown.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error.
+    pub fn from_reader(r: &mut Reader<'_>) -> Result<Option<Diagnostic>, ParseJsonError> {
+        let (mut code, mut severity, mut location, mut message) = (None, None, None, None);
+        r.object(|r, key| {
+            let slot: &mut Slot<Option<String>> = match key {
+                "code" => &mut code,
+                "severity" => &mut severity,
+                "location" => &mut location,
+                "message" => &mut message,
+                _ => return r.skip(),
+            };
+            r.first(slot, |r| Ok(r.str()?.map(Cow::into_owned)))
+        })?;
+        let text = |slot: Slot<Option<String>>| slot.and_then(Result::ok).flatten();
+        let severity = text(severity).and_then(|name| Severity::from_name(&name));
+        Ok(match (text(code), severity, text(location), text(message)) {
+            (Some(code), Some(severity), Some(location), Some(message)) => {
+                Some(Diagnostic { code, severity, location, message })
+            }
+            _ => None,
         })
     }
 }

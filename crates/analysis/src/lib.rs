@@ -241,8 +241,11 @@ mod tests {
     #[test]
     fn diagnostics_roundtrip_through_json() {
         let d = Diagnostic::new(codes::ORPHAN_SCHEMA, Severity::Warning, "X", "unused");
-        assert_eq!(Diagnostic::from_value(&d.to_value()), Some(d.clone()));
-        assert!(Diagnostic::from_value(&apiphany_json::Value::obj::<&str>([])).is_none());
+        let read = |v: apiphany_json::Value| {
+            Diagnostic::from_reader(&mut apiphany_json::Reader::new(&v.to_json())).unwrap()
+        };
+        assert_eq!(read(d.to_value()), Some(d.clone()));
+        assert!(read(apiphany_json::Value::obj::<&str>([])).is_none());
         assert_eq!(d.to_string(), "warning [AP202] X: unused");
     }
 

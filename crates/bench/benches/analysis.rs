@@ -1,7 +1,11 @@
 //! Table 1 path: witness mining throughput per API (spec + scenario
-//! witnesses → semantic library).
+//! witnesses → semantic library), and loading the saved result:
+//! `artifact_decode` times `AnalysisArtifact::from_json` plus dropping the
+//! artifact, on each Table 2 API's prepared engine's saved artifact (the
+//! files perfbench's `synthd` workload registers by path).
 
-use apiphany_benchmarks::{scenario_witnesses, Api};
+use apiphany_benchmarks::{default_analyze_config, prepare_api, scenario_witnesses, Api};
+use apiphany_core::AnalysisArtifact;
 use apiphany_mining::{mine_types, MiningConfig};
 use apiphany_services::{Slack, Square, Stripe};
 use apiphany_spec::Service;
@@ -24,5 +28,16 @@ fn bench_mining(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_mining);
+fn bench_artifact_decode(c: &mut Criterion) {
+    let mut group = c.benchmark_group("artifact_decode");
+    for api in Api::ALL {
+        let text = prepare_api(api, &default_analyze_config()).engine.save_analysis().to_json();
+        group.bench_function(format!("{} ({} KB)", api.name(), text.len() / 1024), |b| {
+            b.iter(|| AnalysisArtifact::from_json(&text).expect("a saved artifact decodes"))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_mining, bench_artifact_decode);
 criterion_main!(benches);

@@ -1,6 +1,9 @@
 //! A minimal JSON implementation: the [`Value`] model shared by the whole
-//! APIphany reproduction, plus a strict parser ([`parse`]) and printers
-//! ([`Value::to_json`], [`Value::to_json_pretty`]).
+//! APIphany reproduction, a strict pull reader ([`Reader`]) with the
+//! parser built on it ([`parse`]), and printers ([`Value::to_json`],
+//! [`Value::to_json_pretty`]). Typed decoders read model structs straight
+//! from text with the [`Reader`], building a [`Value`] only where the
+//! model stores one.
 //!
 //! The reproduction deliberately avoids `serde_json` (not in the allowed
 //! offline dependency set); OpenAPI specs, witnesses, and retrospective
@@ -18,9 +21,11 @@
 
 mod parse;
 mod print;
+mod read;
 
 pub use parse::{parse, ParseJsonError};
 pub use print::write_json_string;
+pub use read::{Kind, ReadError, Reader, Slot};
 
 /// A JSON value.
 ///

@@ -1,13 +1,7 @@
-//! A strict, recursive-descent JSON parser.
-//!
-//! Accepts exactly the JSON grammar (RFC 8259): no comments, no trailing
-//! commas, no leading `+`, no bare control characters inside strings.
-//! Nesting depth is bounded to keep recursion safe on adversarial inputs.
+//! [`parse`]: a whole JSON document into a [`Value`], read by the
+//! crate's one tokenizer, [`Reader`].
 
-use crate::Value;
-
-/// Maximum nesting depth accepted by [`parse`].
-const MAX_DEPTH: usize = 200;
+use crate::{Reader, Value};
 
 /// An error produced by [`parse`], with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,12 +20,13 @@ impl std::fmt::Display for ParseJsonError {
 
 impl std::error::Error for ParseJsonError {}
 
-/// Parses a complete JSON document.
+/// Parses a complete JSON document: [`Reader::value`] plus a check that
+/// nothing but whitespace follows.
 ///
 /// # Errors
 ///
 /// Returns [`ParseJsonError`] on malformed input, trailing garbage, or
-/// nesting deeper than an internal limit.
+/// nesting deeper than 200 levels.
 ///
 /// ```
 /// use apiphany_json::parse;
@@ -39,256 +34,10 @@ impl std::error::Error for ParseJsonError {}
 /// assert!(parse("[1, 2,]").is_err());
 /// ```
 pub fn parse(input: &str) -> Result<Value, ParseJsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
+    let mut reader = Reader::untracked(input);
+    let v = reader.value()?;
+    reader.finish()?;
     Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: impl Into<String>) -> ParseJsonError {
-        ParseJsonError { offset: self.pos, message: msg.into() }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ParseJsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Value, ParseJsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.keyword("true", Value::Bool(true)),
-            Some(b'f') => self.keyword("false", Value::Bool(false)),
-            Some(b'n') => self.keyword("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn keyword(&mut self, kw: &str, v: Value) -> Result<Value, ParseJsonError> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            Ok(v)
-        } else {
-            Err(self.err(format!("expected keyword '{kw}'")))
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Value, ParseJsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value(depth + 1)?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Object(fields)),
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Value, ParseJsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Value::Array(items)),
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseJsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000C}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hi = self.hex4()?;
-                        let ch = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair: require a following \uXXXX low half.
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return Err(self.err("unpaired surrogate escape"));
-                            }
-                            let lo = self.hex4()?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(self.err("invalid low surrogate"));
-                            }
-                            let c = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                            char::from_u32(c).ok_or_else(|| self.err("invalid code point"))?
-                        } else if (0xDC00..0xE000).contains(&hi) {
-                            return Err(self.err("unexpected low surrogate"));
-                        } else {
-                            char::from_u32(hi).ok_or_else(|| self.err("invalid code point"))?
-                        };
-                        out.push(ch);
-                    }
-                    _ => return Err(self.err("invalid escape sequence")),
-                },
-                Some(c) if c < 0x20 => {
-                    return Err(self.err("bare control character in string"));
-                }
-                Some(c) if c < 0x80 => out.push(c as char),
-                Some(first) => {
-                    // Multi-byte UTF-8: the input is a &str so the bytes are
-                    // valid; reassemble the char from its encoded length.
-                    let len = utf8_len(first);
-                    let start = self.pos - 1;
-                    self.pos = start + len;
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    out.push_str(s);
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, ParseJsonError> {
-        let mut v = 0u32;
-        for _ in 0..4 {
-            let d = match self.bump() {
-                Some(c @ b'0'..=b'9') => u32::from(c - b'0'),
-                Some(c @ b'a'..=b'f') => u32::from(c - b'a') + 10,
-                Some(c @ b'A'..=b'F') => u32::from(c - b'A') + 10,
-                _ => return Err(self.err("invalid \\u escape")),
-            };
-            v = v * 16 + d;
-        }
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Value, ParseJsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        match self.peek() {
-            Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-            }
-            _ => return Err(self.err("invalid number")),
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("digits required after decimal point"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("digits required in exponent"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| self.err("number out of range"))
-        } else {
-            match text.parse::<i64>() {
-                Ok(i) => Ok(Value::Int(i)),
-                // Fall back to float for integers that overflow i64.
-                Err(_) => text
-                    .parse::<f64>()
-                    .map(Value::Float)
-                    .map_err(|_| self.err("number out of range")),
-            }
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    if first >= 0xF0 {
-        4
-    } else if first >= 0xE0 {
-        3
-    } else {
-        2
-    }
 }
 
 #[cfg(test)]

@@ -86,7 +86,7 @@ fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
     }
 }
 
-fn write_float(out: &mut String, f: f64) {
+pub(crate) fn write_float(out: &mut String, f: f64) {
     if f.is_nan() || f.is_infinite() {
         // JSON has no NaN/Inf; emit null like most tolerant printers.
         out.push_str("null");

@@ -8,48 +8,85 @@
 //! names), the canonical-location index, and the object value bank — so a
 //! decoded `SemLib` is observationally identical to the one that was
 //! encoded (same group ids, same query resolution, same TTN, same RE
-//! sampling banks).
+//! sampling banks). The decoder reads the encoding straight from JSON
+//! text with a [`Reader`]; only the value banks become [`Value`]s.
 
 use std::collections::{BTreeMap, HashMap};
 
-use apiphany_json::Value;
+use apiphany_json::{ReadError, Reader, Slot, Value};
 use apiphany_spec::codec::{
-    library_from_value, library_to_value, loc_from_value, loc_to_value, sem_record_ty_from_value,
-    sem_record_ty_to_value, sem_ty_from_value, sem_ty_to_value,
+    group_id_from_reader, library_from_reader, library_to_value, loc_from_reader, loc_to_value,
+    read_list, read_string, sem_record_ty_from_reader, sem_record_ty_to_value, sem_ty_from_reader,
+    sem_ty_to_value,
 };
-use apiphany_spec::{DecodeError, GroupId, Loc, SemTy};
+use apiphany_spec::{GroupId, Loc, SemTy};
 
 use crate::semlib::{GroupData, SemLib, SemMethodSig};
 
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, DecodeError> {
-    v.get(key).ok_or_else(|| DecodeError(format!("semlib: missing field '{key}'")))
+/// The value of `slot`, or `semlib: missing field '{key}'` when its key
+/// never came.
+fn field<T>(slot: Slot<T>, key: &str) -> Result<T, ReadError> {
+    slot.unwrap_or_else(|| Err(ReadError::Shape(format!("semlib: missing field '{key}'"))))
 }
 
-fn as_array<'a>(v: &'a Value, what: &str) -> Result<&'a [Value], DecodeError> {
-    v.as_array().ok_or_else(|| DecodeError(format!("{what}: expected array")))
+/// Reads a value bank: an array of values, kept as [`Value`]s;
+/// `not_array` is the error when the value is not an array.
+fn values(r: &mut Reader<'_>, not_array: &str) -> Result<Vec<Value>, ReadError> {
+    read_list(r, not_array, |r| Ok(r.value()?))
 }
 
-fn as_str<'a>(v: &'a Value, what: &str) -> Result<&'a str, DecodeError> {
-    v.as_str().ok_or_else(|| DecodeError(format!("{what}: expected string")))
+/// The `[loc, group]` entries of the `loc_to_group` index up to its first
+/// malformed one, and that entry's error. The group range check of the
+/// entries before it comes first, as in a loop that checks each entry as
+/// it reads it; it waits for the group table, which may come later in the
+/// text.
+type LocIndex = (Vec<(Loc, GroupId)>, Option<ReadError>);
+
+fn loc_index(r: &mut Reader<'_>) -> Result<LocIndex, ReadError> {
+    let mut entries = Vec::new();
+    let read = r.array(|r| {
+        entries.push(loc_index_entry(r)?);
+        Ok(())
+    });
+    match read {
+        Ok(true) => Ok((entries, None)),
+        Ok(false) => Err(ReadError::shape("loc_to_group: expected array")),
+        Err(ReadError::Shape(message)) => Ok((entries, Some(ReadError::Shape(message)))),
+        Err(syntax) => Err(syntax),
+    }
 }
 
-fn group_id(v: &Value) -> Result<GroupId, DecodeError> {
-    v.as_int()
-        .filter(|&i| i >= 0 && i <= i64::from(u32::MAX))
-        .map(|i| GroupId(i as u32))
-        .ok_or_else(|| DecodeError("group id: expected u32".into()))
+/// One `[loc, group]` entry; its length is checked before its items.
+fn loc_index_entry(r: &mut Reader<'_>) -> Result<(Loc, GroupId), ReadError> {
+    let (mut loc, mut gid, mut len) = (None, None, 0);
+    let is_array = r.array(|r| {
+        match len {
+            0 => r.first(&mut loc, loc_from_reader)?,
+            1 => r.first(&mut gid, group_id_from_reader)?,
+            _ => r.skip()?,
+        }
+        len += 1;
+        Ok(())
+    })?;
+    if !is_array {
+        return Err(ReadError::shape("loc_to_group entry: expected array"));
+    }
+    match (len, loc, gid) {
+        (2, Some(loc), Some(gid)) => Ok((loc?, gid?)),
+        _ => Err(ReadError::shape("loc_to_group entry: expected [loc, group]")),
+    }
 }
 
 /// Checks that every loc-set type inside `ty` points into the decoded
 /// group table — a dangling [`GroupId`] would otherwise surface later as
 /// an index panic (e.g. in `SemLib::group`) instead of a decode error.
-fn check_group_refs(ty: &SemTy, n_groups: usize, what: &str) -> Result<(), DecodeError> {
+fn check_group_refs(ty: &SemTy, n_groups: usize, what: &str) -> Result<(), ReadError> {
     match ty {
         SemTy::Group(g) => {
             if (g.0 as usize) < n_groups {
                 Ok(())
             } else {
-                Err(DecodeError(format!(
+                Err(ReadError::Shape(format!(
                     "{what}: group {g} out of range ({n_groups} groups)"
                 )))
             }
@@ -130,61 +167,105 @@ impl SemLib {
         ])
     }
 
-    /// Decodes a semantic library from a JSON value produced by
-    /// [`SemLib::to_value`].
+    /// Reads a semantic library from the JSON text of
+    /// [`SemLib::to_value`]. Every check of the object's fields runs in
+    /// the order of its encoding (library, objects, methods, groups,
+    /// `loc_to_group`, object bank), then every group reference in the
+    /// signatures is resolved, whatever order the text has the fields in.
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError`] when a field is missing, malformed, or a
-    /// group reference points outside the decoded group table.
-    pub fn from_value(v: &Value) -> Result<SemLib, DecodeError> {
-        let lib = library_from_value(field(v, "library")?)?;
-        let mut objects = BTreeMap::new();
-        for obj in as_array(field(v, "objects")?, "semlib objects")? {
-            let name = as_str(field(obj, "name")?, "object name")?.to_string();
-            objects.insert(name, sem_record_ty_from_value(field(obj, "fields")?)?);
-        }
-        let mut methods = BTreeMap::new();
-        for m in as_array(field(v, "methods")?, "semlib methods")? {
-            let name = as_str(field(m, "name")?, "method name")?.to_string();
-            let sig = SemMethodSig {
-                params: sem_record_ty_from_value(field(m, "params")?)?,
-                response: sem_ty_from_value(field(m, "response")?)?,
-            };
-            methods.insert(name, sig);
-        }
-        let mut groups = Vec::new();
-        for g in as_array(field(v, "groups")?, "semlib groups")? {
-            let locs = as_array(field(g, "locs")?, "group locs")?
-                .iter()
-                .map(loc_from_value)
-                .collect::<Result<Vec<_>, _>>()?;
-            let values = as_array(field(g, "values")?, "group values")?.to_vec();
-            let display = as_str(field(g, "display")?, "group display")?.to_string();
-            groups.push(GroupData { locs, values, display });
-        }
-        let mut loc_to_group = HashMap::new();
-        for pair in as_array(field(v, "loc_to_group")?, "loc_to_group")? {
-            let items = as_array(pair, "loc_to_group entry")?;
-            if items.len() != 2 {
-                return Err(DecodeError("loc_to_group entry: expected [loc, group]".into()));
-            }
-            let loc = loc_from_value(&items[0])?;
-            let gid = group_id(&items[1])?;
+    /// A syntax error, or a shape error when a field is missing,
+    /// malformed, or a group reference points outside the decoded group
+    /// table.
+    pub fn from_reader(r: &mut Reader<'_>) -> Result<SemLib, ReadError> {
+        let (mut library, mut objects, mut methods) = (None, None, None);
+        let (mut groups, mut index, mut bank) = (None, None, None);
+        r.object(|r, key| match key {
+            "library" => r.first(&mut library, library_from_reader),
+            "objects" => r.first(&mut objects, |r| {
+                read_list(r, "semlib objects: expected array", |r| {
+                    let (mut name, mut fields) = (None, None);
+                    r.object(|r, key| match key {
+                        "name" => r.first(&mut name, |r| read_string(r, "object name")),
+                        "fields" => r.first(&mut fields, sem_record_ty_from_reader),
+                        _ => r.skip(),
+                    })?;
+                    Ok((field(name, "name")?, field(fields, "fields")?))
+                })
+            }),
+            "methods" => r.first(&mut methods, |r| {
+                read_list(r, "semlib methods: expected array", |r| {
+                    let (mut name, mut params, mut response) = (None, None, None);
+                    r.object(|r, key| match key {
+                        "name" => r.first(&mut name, |r| read_string(r, "method name")),
+                        "params" => r.first(&mut params, sem_record_ty_from_reader),
+                        "response" => r.first(&mut response, sem_ty_from_reader),
+                        _ => r.skip(),
+                    })?;
+                    let name = field(name, "name")?;
+                    let sig = SemMethodSig {
+                        params: field(params, "params")?,
+                        response: field(response, "response")?,
+                    };
+                    Ok((name, sig))
+                })
+            }),
+            "groups" => r.first(&mut groups, |r| {
+                read_list(r, "semlib groups: expected array", |r| {
+                    let (mut locs, mut values_slot, mut display) = (None, None, None);
+                    r.object(|r, key| match key {
+                        "locs" => r.first(&mut locs, |r| {
+                            read_list(r, "group locs: expected array", loc_from_reader)
+                        }),
+                        "values" => r.first(&mut values_slot, |r| {
+                            values(r, "group values: expected array")
+                        }),
+                        "display" => r.first(&mut display, |r| read_string(r, "group display")),
+                        _ => r.skip(),
+                    })?;
+                    Ok(GroupData {
+                        locs: field(locs, "locs")?,
+                        values: field(values_slot, "values")?,
+                        display: field(display, "display")?,
+                    })
+                })
+            }),
+            "loc_to_group" => r.first(&mut index, loc_index),
+            "object_bank" => r.first(&mut bank, |r| {
+                read_list(r, "object_bank: expected array", |r| {
+                    let (mut object, mut values_slot) = (None, None);
+                    r.object(|r, key| match key {
+                        "object" => r.first(&mut object, |r| read_string(r, "bank object name")),
+                        "values" => r.first(&mut values_slot, |r| {
+                            values(r, "bank values: expected array")
+                        }),
+                        _ => r.skip(),
+                    })?;
+                    Ok((field(object, "object")?, field(values_slot, "values")?))
+                })
+            }),
+            _ => r.skip(),
+        })?;
+        let lib = field(library, "library")?;
+        let objects: BTreeMap<_, _> = field(objects, "objects")?.into_iter().collect();
+        let methods: BTreeMap<_, _> = field(methods, "methods")?.into_iter().collect();
+        let groups: Vec<GroupData> = field(groups, "groups")?;
+        let (entries, malformed) = field(index, "loc_to_group")?;
+        let mut loc_to_group = HashMap::with_capacity(entries.len());
+        for (loc, gid) in entries {
             if gid.0 as usize >= groups.len() {
-                return Err(DecodeError(format!(
+                return Err(ReadError::Shape(format!(
                     "loc_to_group entry: group {gid} out of range ({} groups)",
                     groups.len()
                 )));
             }
             loc_to_group.insert(loc, gid);
         }
-        let mut object_bank = HashMap::new();
-        for entry in as_array(field(v, "object_bank")?, "object_bank")? {
-            let name = as_str(field(entry, "object")?, "bank object name")?.to_string();
-            let values = as_array(field(entry, "values")?, "bank values")?.to_vec();
-            object_bank.insert(name, values);
+        if let Some(e) = malformed {
+            return Err(e);
         }
+        let object_bank: HashMap<_, _> = field(bank, "object_bank")?.into_iter().collect();
         // Every group reference in the semantic signatures must resolve
         // against the decoded group table.
         for (name, rec) in &objects {
@@ -206,7 +287,6 @@ impl SemLib {
 mod tests {
     use super::*;
     use crate::mine::{mine_types, MiningConfig};
-    use apiphany_json::parse;
     use apiphany_spec::fixtures::{fig4_witnesses, fig7_library};
     use apiphany_spec::SemTy;
 
@@ -214,11 +294,16 @@ mod tests {
         mine_types(&fig7_library(), &fig4_witnesses(), &MiningConfig::default())
     }
 
+    /// Decodes the printed `v`.
+    fn decode(v: &Value) -> Result<SemLib, ReadError> {
+        SemLib::from_reader(&mut Reader::new(&v.to_json()))
+    }
+
     #[test]
     fn semlib_roundtrips_through_json_text() {
         let sl = semlib();
         let text = sl.to_value().to_json();
-        let back = SemLib::from_value(&parse(&text).unwrap()).unwrap();
+        let back = SemLib::from_reader(&mut Reader::new(&text)).unwrap();
         assert_eq!(back.lib, sl.lib);
         assert_eq!(back.objects, sl.objects);
         assert_eq!(back.methods, sl.methods);
@@ -231,7 +316,7 @@ mod tests {
     #[test]
     fn decoded_semlib_resolves_queries_identically() {
         let sl = semlib();
-        let back = SemLib::from_value(&sl.to_value()).unwrap();
+        let back = decode(&sl.to_value()).unwrap();
         for name in ["Channel.name", "User.id", "Profile.email", "u_info.in.user", "User"] {
             assert_eq!(back.resolve_named_ty(name), sl.resolve_named_ty(name), "{name}");
         }
@@ -246,7 +331,7 @@ mod tests {
     #[test]
     fn decoded_semlib_keeps_value_banks() {
         let sl = semlib();
-        let back = SemLib::from_value(&sl.to_value()).unwrap();
+        let back = decode(&sl.to_value()).unwrap();
         for (id, g) in sl.groups_iter() {
             assert_eq!(back.group(id).values, g.values);
         }
@@ -271,12 +356,12 @@ mod tests {
                 }
             }
         }
-        assert!(SemLib::from_value(&v).is_err());
+        assert!(decode(&v).is_err());
     }
 
     #[test]
     fn decode_rejects_missing_fields() {
-        assert!(SemLib::from_value(&apiphany_json::json!({"library": {}})).is_err());
+        assert!(decode(&apiphany_json::json!({"library": {}})).is_err());
     }
 
     /// Sets every `{"group": N}` reference under `v` to 9 999.
@@ -308,7 +393,7 @@ mod tests {
                 }
             }
         }
-        let err = SemLib::from_value(&v).unwrap_err();
+        let err = decode(&v).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
 
         // Same for object signatures.
@@ -320,6 +405,6 @@ mod tests {
                 }
             }
         }
-        assert!(SemLib::from_value(&v).is_err());
+        assert!(decode(&v).is_err());
     }
 }

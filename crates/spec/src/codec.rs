@@ -4,17 +4,23 @@
 //! These are the building blocks of the engine's *analysis artifact* — the
 //! serialized output of the once-per-API analysis phase (paper §4), saved
 //! by one process and reloaded by many serving processes. Every encoder has
-//! a matching decoder and the pair round-trips exactly; decoders return a
-//! structured [`DecodeError`] instead of panicking on malformed input.
+//! a matching decoder and the pair round-trips exactly. Decoders read the
+//! encoding straight from JSON text with a [`Reader`], building no
+//! [`Value`] tree, and return a shape error instead of panicking on
+//! malformed input. Each object's fields are read in whatever order the
+//! text has them, and its errors are reported in the decoder's own fixed
+//! order (the order its field list gives), so a reordered file fails with
+//! the same message as the canonical one.
 //!
 //! Locations are encoded *structurally* (root kind + label list) rather
 //! than as dotted strings: real APIs may have fields literally named `in`,
 //! `out`, or `0`, which the textual form could not distinguish from the
 //! reserved labels.
 
+use std::borrow::Cow;
 use std::fmt;
 
-use apiphany_json::Value;
+use apiphany_json::{Kind, ReadError, Reader, Slot, Value};
 
 use crate::library::{Library, MethodSig};
 use crate::loc::{Label, Loc, Root};
@@ -24,12 +30,6 @@ use crate::ty::{FieldTy, GroupId, RecordTy, SemFieldTy, SemRecordTy, SemTy, SynT
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeError(pub String);
 
-impl DecodeError {
-    pub(crate) fn new(msg: impl Into<String>) -> DecodeError {
-        DecodeError(msg.into())
-    }
-}
-
 impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "decode error: {}", self.0)
@@ -38,16 +38,69 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn field<'a>(v: &'a Value, key: &str, what: &str) -> Result<&'a Value, DecodeError> {
-    v.get(key).ok_or_else(|| DecodeError::new(format!("{what}: missing field '{key}'")))
+/// The value of `slot`, or `{what}: missing field '{key}'` when its key
+/// never came.
+fn field<T>(slot: Slot<T>, key: &str, what: &str) -> Result<T, ReadError> {
+    slot.unwrap_or_else(|| Err(ReadError::Shape(format!("{what}: missing field '{key}'"))))
 }
 
-fn as_str<'a>(v: &'a Value, what: &str) -> Result<&'a str, DecodeError> {
-    v.as_str().ok_or_else(|| DecodeError::new(format!("{what}: expected string")))
+/// Reads a string, or fails with `{what}: expected string`.
+///
+/// # Errors
+///
+/// A syntax error, or that shape error.
+pub fn read_string(r: &mut Reader<'_>, what: &str) -> Result<String, ReadError> {
+    r.str()?
+        .map(Cow::into_owned)
+        .ok_or_else(|| ReadError::Shape(format!("{what}: expected string")))
 }
 
-fn as_array<'a>(v: &'a Value, what: &str) -> Result<&'a [Value], DecodeError> {
-    v.as_array().ok_or_else(|| DecodeError::new(format!("{what}: expected array")))
+/// Reads an array with `item` per element, or fails with the shape error
+/// `not_array` when the value is not an array; the first element that
+/// fails fails the list.
+///
+/// # Errors
+///
+/// A syntax error, `not_array`, or the first element's shape error.
+pub fn read_list<'a, T>(
+    r: &mut Reader<'a>,
+    not_array: &str,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, ReadError>,
+) -> Result<Vec<T>, ReadError> {
+    let mut items = Vec::new();
+    if r.array(|r| {
+        items.push(item(r)?);
+        Ok(())
+    })? {
+        Ok(items)
+    } else {
+        Err(ReadError::shape(not_array))
+    }
+}
+
+/// Reads a group id, or fails with `group id: expected u32`.
+///
+/// # Errors
+///
+/// A syntax error, or that shape error.
+pub fn group_id_from_reader(r: &mut Reader<'_>) -> Result<GroupId, ReadError> {
+    r.int()?
+        .filter(|&i| i >= 0 && i <= i64::from(u32::MAX))
+        .map(|i| GroupId(i as u32))
+        .ok_or_else(|| ReadError::shape("group id: expected u32"))
+}
+
+/// Decodes the JSON text of `v` with `read`: the entry point for callers
+/// that hold an already-parsed value.
+pub(crate) fn decode_value<T>(
+    v: &Value,
+    read: impl FnOnce(&mut Reader<'_>) -> Result<T, ReadError>,
+) -> Result<T, ReadError> {
+    let text = v.to_json();
+    let mut r = Reader::new(&text);
+    let decoded = read(&mut r)?;
+    r.finish()?;
+    Ok(decoded)
 }
 
 /// Encodes a syntactic type.
@@ -67,27 +120,34 @@ pub fn syn_ty_to_value(ty: &SynTy) -> Value {
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] on malformed input.
-pub fn syn_ty_from_value(v: &Value) -> Result<SynTy, DecodeError> {
-    if let Some(prim) = v.as_str() {
-        return match prim {
+/// A syntax error, or a shape error on malformed input.
+pub fn syn_ty_from_reader(r: &mut Reader<'_>) -> Result<SynTy, ReadError> {
+    if r.kind()? == Kind::String {
+        return match &*r.str()?.unwrap_or_default() {
             "string" => Ok(SynTy::Str),
             "int" => Ok(SynTy::Int),
             "bool" => Ok(SynTy::Bool),
             "float" => Ok(SynTy::Float),
-            other => Err(DecodeError::new(format!("unknown primitive type '{other}'"))),
+            other => Err(ReadError::Shape(format!("unknown primitive type '{other}'"))),
         };
     }
-    if let Some(name) = v.get("object") {
-        return Ok(SynTy::Object(as_str(name, "object type")?.to_string()));
+    let (mut object, mut array, mut record) = (None, None, None);
+    r.object(|r, key| match key {
+        "object" => r.first(&mut object, |r| read_string(r, "object type")),
+        "array" => r.first(&mut array, syn_ty_from_reader),
+        "record" => r.first(&mut record, record_ty_from_reader),
+        _ => r.skip(),
+    })?;
+    if let Some(name) = object {
+        return name.map(SynTy::Object);
     }
-    if let Some(elem) = v.get("array") {
-        return Ok(SynTy::array(syn_ty_from_value(elem)?));
+    if let Some(elem) = array {
+        return elem.map(SynTy::array);
     }
-    if let Some(rec) = v.get("record") {
-        return Ok(SynTy::Record(record_ty_from_value(rec)?));
+    if let Some(rec) = record {
+        return rec.map(SynTy::Record);
     }
-    Err(DecodeError::new("unrecognized syntactic type"))
+    Err(ReadError::shape("unrecognized syntactic type"))
 }
 
 /// Encodes a record type as an array of field objects.
@@ -106,25 +166,44 @@ pub fn record_ty_to_value(rec: &RecordTy) -> Value {
     )
 }
 
+/// Reads the fields of a record type, each field's type with `ty`;
+/// `not_array` is the error when the value is not an array.
+fn record_fields<'a, T>(
+    r: &mut Reader<'a>,
+    not_array: &str,
+    ty: fn(&mut Reader<'a>) -> Result<T, ReadError>,
+) -> Result<Vec<(String, bool, T)>, ReadError> {
+    read_list(r, not_array, |r| {
+        let (mut name, mut optional, mut field_ty) = (None, None, None);
+        r.object(|r, key| match key {
+            "name" => r.first(&mut name, |r| read_string(r, "field name")),
+            "optional" => r.first(&mut optional, |r| {
+                r.bool()?.ok_or_else(|| ReadError::shape("field optional: expected bool"))
+            }),
+            "ty" => r.first(&mut field_ty, ty),
+            _ => r.skip(),
+        })?;
+        Ok((
+            field(name, "name", "record field")?,
+            field(optional, "optional", "record field")?,
+            field(field_ty, "ty", "record field")?,
+        ))
+    })
+}
+
 /// Decodes a record type.
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] on malformed input.
-pub fn record_ty_from_value(v: &Value) -> Result<RecordTy, DecodeError> {
-    let fields = as_array(v, "record type")?
-        .iter()
-        .map(|f| {
-            Ok(FieldTy {
-                name: as_str(field(f, "name", "record field")?, "field name")?.to_string(),
-                optional: field(f, "optional", "record field")?
-                    .as_bool()
-                    .ok_or_else(|| DecodeError::new("field optional: expected bool"))?,
-                ty: syn_ty_from_value(field(f, "ty", "record field")?)?,
-            })
-        })
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    Ok(RecordTy { fields })
+/// A syntax error, or a shape error on malformed input.
+pub fn record_ty_from_reader(r: &mut Reader<'_>) -> Result<RecordTy, ReadError> {
+    let fields = record_fields(r, "record type: expected array", syn_ty_from_reader)?;
+    Ok(RecordTy {
+        fields: fields
+            .into_iter()
+            .map(|(name, optional, ty)| FieldTy { name, optional, ty })
+            .collect(),
+    })
 }
 
 /// Encodes a semantic type. Loc-set types are encoded by [`GroupId`]
@@ -143,25 +222,29 @@ pub fn sem_ty_to_value(ty: &SemTy) -> Value {
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] on malformed input.
-pub fn sem_ty_from_value(v: &Value) -> Result<SemTy, DecodeError> {
-    if let Some(g) = v.get("group") {
-        let id = g
-            .as_int()
-            .filter(|&i| i >= 0 && i <= i64::from(u32::MAX))
-            .ok_or_else(|| DecodeError::new("group id: expected u32"))?;
-        return Ok(SemTy::Group(GroupId(id as u32)));
+/// A syntax error, or a shape error on malformed input.
+pub fn sem_ty_from_reader(r: &mut Reader<'_>) -> Result<SemTy, ReadError> {
+    let (mut group, mut object, mut array, mut record) = (None, None, None, None);
+    r.object(|r, key| match key {
+        "group" => r.first(&mut group, group_id_from_reader),
+        "object" => r.first(&mut object, |r| read_string(r, "object type")),
+        "array" => r.first(&mut array, sem_ty_from_reader),
+        "record" => r.first(&mut record, sem_record_ty_from_reader),
+        _ => r.skip(),
+    })?;
+    if let Some(id) = group {
+        return id.map(SemTy::Group);
     }
-    if let Some(name) = v.get("object") {
-        return Ok(SemTy::Object(as_str(name, "object type")?.to_string()));
+    if let Some(name) = object {
+        return name.map(SemTy::Object);
     }
-    if let Some(elem) = v.get("array") {
-        return Ok(SemTy::array(sem_ty_from_value(elem)?));
+    if let Some(elem) = array {
+        return elem.map(SemTy::array);
     }
-    if let Some(rec) = v.get("record") {
-        return Ok(SemTy::Record(sem_record_ty_from_value(rec)?));
+    if let Some(rec) = record {
+        return rec.map(SemTy::Record);
     }
-    Err(DecodeError::new("unrecognized semantic type"))
+    Err(ReadError::shape("unrecognized semantic type"))
 }
 
 /// Encodes a semantic record type as an array of field objects.
@@ -184,21 +267,15 @@ pub fn sem_record_ty_to_value(rec: &SemRecordTy) -> Value {
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] on malformed input.
-pub fn sem_record_ty_from_value(v: &Value) -> Result<SemRecordTy, DecodeError> {
-    let fields = as_array(v, "semantic record type")?
-        .iter()
-        .map(|f| {
-            Ok(SemFieldTy {
-                name: as_str(field(f, "name", "record field")?, "field name")?.to_string(),
-                optional: field(f, "optional", "record field")?
-                    .as_bool()
-                    .ok_or_else(|| DecodeError::new("field optional: expected bool"))?,
-                ty: sem_ty_from_value(field(f, "ty", "record field")?)?,
-            })
-        })
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    Ok(SemRecordTy { fields })
+/// A syntax error, or a shape error on malformed input.
+pub fn sem_record_ty_from_reader(r: &mut Reader<'_>) -> Result<SemRecordTy, ReadError> {
+    let fields = record_fields(r, "semantic record type: expected array", sem_ty_from_reader)?;
+    Ok(SemRecordTy {
+        fields: fields
+            .into_iter()
+            .map(|(name, optional, ty)| SemFieldTy { name, optional, ty })
+            .collect(),
+    })
 }
 
 /// Encodes a location structurally (root kind, root name, label list).
@@ -228,29 +305,49 @@ pub fn loc_to_value(loc: &Loc) -> Value {
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] on malformed input.
-pub fn loc_from_value(v: &Value) -> Result<Loc, DecodeError> {
-    let name = as_str(field(v, "name", "location")?, "location name")?.to_string();
-    let root = match as_str(field(v, "kind", "location")?, "location kind")? {
+/// A syntax error, or a shape error on malformed input.
+pub fn loc_from_reader(r: &mut Reader<'_>) -> Result<Loc, ReadError> {
+    let (mut name, mut kind, mut path) = (None, None, None);
+    r.object(|r, key| match key {
+        "name" => r.first(&mut name, |r| read_string(r, "location name")),
+        "kind" => r.first(&mut kind, |r| {
+            r.str()?.ok_or_else(|| ReadError::shape("location kind: expected string"))
+        }),
+        "path" => r.first(&mut path, |r| {
+            read_list(r, "location path: expected array", label_from_reader)
+        }),
+        _ => r.skip(),
+    })?;
+    let name = field(name, "name", "location")?;
+    let root = match &*field(kind, "kind", "location")? {
         "object" => Root::Object(name),
         "method" => Root::Method(name),
-        other => return Err(DecodeError::new(format!("unknown location kind '{other}'"))),
+        other => return Err(ReadError::Shape(format!("unknown location kind '{other}'"))),
     };
-    let path = as_array(field(v, "path", "location")?, "location path")?
-        .iter()
-        .map(|label| {
-            if let Some(n) = label.get("named") {
-                return Ok(Label::Named(as_str(n, "named label")?.to_string()));
-            }
-            match as_str(label, "location label")? {
-                "in" => Ok(Label::In),
-                "out" => Ok(Label::Out),
-                "elem" => Ok(Label::Elem),
-                other => Err(DecodeError::new(format!("unknown label '{other}'"))),
-            }
-        })
-        .collect::<Result<Vec<_>, DecodeError>>()?;
+    let path = field(path, "path", "location")?;
     Ok(Loc { root, path })
+}
+
+/// Decodes one label of a location's path: `{"named": …}` or a reserved
+/// label's name.
+fn label_from_reader(r: &mut Reader<'_>) -> Result<Label, ReadError> {
+    if r.kind()? == Kind::Object {
+        let mut named = None;
+        r.object(|r, key| match key {
+            "named" => r.first(&mut named, |r| read_string(r, "named label")),
+            _ => r.skip(),
+        })?;
+        return named
+            .unwrap_or_else(|| Err(ReadError::shape("location label: expected string")))
+            .map(Label::Named);
+    }
+    match r.str()?.as_deref() {
+        Some("in") => Ok(Label::In),
+        Some("out") => Ok(Label::Out),
+        Some("elem") => Ok(Label::Elem),
+        Some(other) => Err(ReadError::Shape(format!("unknown label '{other}'"))),
+        None => Err(ReadError::shape("location label: expected string")),
+    }
 }
 
 /// Encodes a library (name, object definitions, method definitions).
@@ -288,24 +385,57 @@ pub fn library_to_value(lib: &Library) -> Value {
 ///
 /// # Errors
 ///
+/// A syntax error, or a shape error on malformed input.
+pub fn library_from_reader(r: &mut Reader<'_>) -> Result<Library, ReadError> {
+    let (mut name, mut objects, mut methods) = (None, None, None);
+    r.object(|r, key| match key {
+        "name" => r.first(&mut name, |r| read_string(r, "library name")),
+        "objects" => r.first(&mut objects, |r| {
+            read_list(r, "library objects: expected array", |r| {
+                let (mut name, mut fields) = (None, None);
+                r.object(|r, key| match key {
+                    "name" => r.first(&mut name, |r| read_string(r, "object name")),
+                    "fields" => r.first(&mut fields, record_ty_from_reader),
+                    _ => r.skip(),
+                })?;
+                Ok((field(name, "name", "object")?, field(fields, "fields", "object")?))
+            })
+        }),
+        "methods" => r.first(&mut methods, |r| {
+            read_list(r, "library methods: expected array", |r| {
+                let (mut name, mut params, mut response, mut doc) = (None, None, None, None);
+                r.object(|r, key| match key {
+                    "name" => r.first(&mut name, |r| read_string(r, "method name")),
+                    "params" => r.first(&mut params, record_ty_from_reader),
+                    "response" => r.first(&mut response, syn_ty_from_reader),
+                    "doc" => r.first(&mut doc, |r| read_string(r, "method doc")),
+                    _ => r.skip(),
+                })?;
+                let name = field(name, "name", "method")?;
+                let sig = MethodSig {
+                    params: field(params, "params", "method")?,
+                    response: field(response, "response", "method")?,
+                    doc: field(doc, "doc", "method")?,
+                };
+                Ok((name, sig))
+            })
+        }),
+        _ => r.skip(),
+    })?;
+    let mut lib = Library::new(field(name, "name", "library")?);
+    lib.objects.extend(field(objects, "objects", "library")?);
+    lib.methods.extend(field(methods, "methods", "library")?);
+    Ok(lib)
+}
+
+/// Decodes a library from an already-parsed value, by printing it and
+/// reading the text with [`library_from_reader`].
+///
+/// # Errors
+///
 /// Returns [`DecodeError`] on malformed input.
 pub fn library_from_value(v: &Value) -> Result<Library, DecodeError> {
-    let mut lib = Library::new(as_str(field(v, "name", "library")?, "library name")?);
-    for obj in as_array(field(v, "objects", "library")?, "library objects")? {
-        let name = as_str(field(obj, "name", "object")?, "object name")?.to_string();
-        let rec = record_ty_from_value(field(obj, "fields", "object")?)?;
-        lib.objects.insert(name, rec);
-    }
-    for m in as_array(field(v, "methods", "library")?, "library methods")? {
-        let name = as_str(field(m, "name", "method")?, "method name")?.to_string();
-        let sig = MethodSig {
-            params: record_ty_from_value(field(m, "params", "method")?)?,
-            response: syn_ty_from_value(field(m, "response", "method")?)?,
-            doc: as_str(field(m, "doc", "method")?, "method doc")?.to_string(),
-        };
-        lib.methods.insert(name, sig);
-    }
-    Ok(lib)
+    decode_value(v, library_from_reader).map_err(|e| DecodeError(e.to_string()))
 }
 
 #[cfg(test)]
@@ -331,7 +461,7 @@ mod tests {
             }),
         ];
         for ty in tys {
-            assert_eq!(syn_ty_from_value(&syn_ty_to_value(&ty)), Ok(ty));
+            assert_eq!(decode_value(&syn_ty_to_value(&ty), syn_ty_from_reader), Ok(ty));
         }
     }
 
@@ -350,7 +480,7 @@ mod tests {
             }),
         ];
         for ty in tys {
-            assert_eq!(sem_ty_from_value(&sem_ty_to_value(&ty)), Ok(ty));
+            assert_eq!(decode_value(&sem_ty_to_value(&ty), sem_ty_from_reader), Ok(ty));
         }
     }
 
@@ -359,10 +489,10 @@ mod tests {
         // A field literally called "in" must not decode as `Label::In` —
         // the structural encoding keeps them apart.
         let tricky = Loc::object("Weird").field("in").field("0");
-        let back = loc_from_value(&loc_to_value(&tricky)).unwrap();
+        let back = decode_value(&loc_to_value(&tricky), loc_from_reader).unwrap();
         assert_eq!(back, tricky);
         let loc = Loc::method("c_list").child(Label::Out).elem().field("creator");
-        assert_eq!(loc_from_value(&loc_to_value(&loc)), Ok(loc));
+        assert_eq!(decode_value(&loc_to_value(&loc), loc_from_reader), Ok(loc));
     }
 
     #[test]
@@ -375,10 +505,11 @@ mod tests {
     #[test]
     fn decode_rejects_malformed() {
         use apiphany_json::json;
-        assert!(syn_ty_from_value(&json!("nope")).is_err());
-        assert!(syn_ty_from_value(&json!(42)).is_err());
-        assert!(sem_ty_from_value(&json!({"group": -1})).is_err());
-        assert!(loc_from_value(&json!({"kind": "x", "name": "y", "path": []})).is_err());
+        assert!(decode_value(&json!("nope"), syn_ty_from_reader).is_err());
+        assert!(decode_value(&json!(42), syn_ty_from_reader).is_err());
+        assert!(decode_value(&json!({"group": -1}), sem_ty_from_reader).is_err());
+        let loc = json!({"kind": "x", "name": "y", "path": []});
+        assert!(decode_value(&loc, loc_from_reader).is_err());
         assert!(library_from_value(&json!({"name": "x"})).is_err());
     }
 }

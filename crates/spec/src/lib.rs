@@ -40,4 +40,6 @@ pub use loc::{Label, Loc, ParseLocError, Root};
 pub use openapi::{library_from_openapi, library_to_openapi, OpenApiError};
 pub use service::{CallError, Service};
 pub use ty::{FieldTy, GroupId, RecordTy, SemFieldTy, SemRecordTy, SemTy, SynTy};
-pub use witness::{witnesses_from_json, witnesses_to_json, Witness, WitnessDecodeError};
+pub use witness::{
+    witnesses_from_json, witnesses_from_reader, witnesses_to_json, Witness, WitnessDecodeError,
+};

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use apiphany_json::Value;
+use apiphany_json::{ReadError, Reader, Value};
 
 /// One observed method invocation `⟨f, v_in, v_out⟩`.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,26 +61,31 @@ impl Witness {
         ])
     }
 
-    /// Deserializes from a JSON object produced by [`Witness::to_value`].
+    /// Reads a witness from the JSON text of a [`Witness::to_value`]
+    /// object. Its arguments and output are stored as [`Value`]s.
     ///
     /// # Errors
     ///
-    /// Returns [`WitnessDecodeError`] when required fields are missing.
-    pub fn from_value(v: &Value) -> Result<Witness, WitnessDecodeError> {
-        let method = v
-            .get("method")
-            .and_then(Value::as_str)
-            .ok_or_else(|| WitnessDecodeError("missing method".into()))?;
-        let args = v
-            .get("args")
-            .and_then(Value::as_object)
-            .ok_or_else(|| WitnessDecodeError("missing args".into()))?
-            .to_vec();
-        let output = v
-            .get("output")
-            .cloned()
-            .ok_or_else(|| WitnessDecodeError("missing output".into()))?;
-        Ok(Witness { method: method.to_string(), args, output })
+    /// A syntax error, or a shape error (`missing method`, `missing args`
+    /// or `missing output`) when a field is missing or of the wrong type.
+    pub fn from_reader(r: &mut Reader<'_>) -> Result<Witness, ReadError> {
+        let (mut method, mut args, mut output) = (None, None, None);
+        r.object(|r, key| match key {
+            "method" => r.first(&mut method, |r| Ok(r.str()?)),
+            "args" => r.first(&mut args, |r| Ok(r.value()?)),
+            "output" => r.first(&mut output, |r| Ok(r.value()?)),
+            _ => r.skip(),
+        })?;
+        let Some(Ok(Some(method))) = method else {
+            return Err(ReadError::shape("missing method"));
+        };
+        let Some(Ok(Value::Object(args))) = args else {
+            return Err(ReadError::shape("missing args"));
+        };
+        let Some(Ok(output)) = output else {
+            return Err(ReadError::shape("missing output"));
+        };
+        Ok(Witness { method: method.into_owned(), args, output })
     }
 }
 
@@ -101,18 +106,26 @@ pub fn witnesses_to_json(witnesses: &[Witness]) -> Value {
     Value::Array(witnesses.iter().map(Witness::to_value).collect())
 }
 
-/// Deserializes a witness set from a JSON array value.
+/// Reads a witness set: a JSON array of witness objects.
+///
+/// # Errors
+///
+/// A syntax error, `expected array`, or the first malformed witness's
+/// shape error.
+pub fn witnesses_from_reader(r: &mut Reader<'_>) -> Result<Vec<Witness>, ReadError> {
+    crate::codec::read_list(r, "expected array", Witness::from_reader)
+}
+
+/// Deserializes a witness set from an already-parsed JSON array value, by
+/// printing it and reading the text with [`witnesses_from_reader`].
 ///
 /// # Errors
 ///
 /// Returns [`WitnessDecodeError`] if the value is not an array of valid
 /// witness objects.
 pub fn witnesses_from_json(v: &Value) -> Result<Vec<Witness>, WitnessDecodeError> {
-    v.as_array()
-        .ok_or_else(|| WitnessDecodeError("expected array".into()))?
-        .iter()
-        .map(Witness::from_value)
-        .collect()
+    crate::codec::decode_value(v, witnesses_from_reader)
+        .map_err(|e| WitnessDecodeError(e.to_string()))
 }
 
 #[cfg(test)]
@@ -145,8 +158,9 @@ mod tests {
 
     #[test]
     fn decode_rejects_malformed() {
-        assert!(Witness::from_value(&json!({"method": "f"})).is_err());
-        assert!(Witness::from_value(&json!({"args": {}, "output": null})).is_err());
+        let witness = |v: Value| Witness::from_reader(&mut Reader::new(&v.to_json()));
+        assert!(witness(json!({"method": "f"})).is_err());
+        assert!(witness(json!({"args": {}, "output": null})).is_err());
         assert!(witnesses_from_json(&json!({"not": "array"})).is_err());
     }
 }

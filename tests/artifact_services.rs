@@ -31,6 +31,8 @@ fn roundtrip(name: &str, library: apiphany_repro::spec::Library, witnesses: Vec<
     let back = apiphany_repro::core::AnalysisArtifact::from_json(&json)
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     assert_eq!(back.service.as_deref(), Some(name));
+    // Decoding and encoding again gives back the very bytes.
+    assert_eq!(back.to_json(), json, "{name}");
     assert_eq!(back.semlib.n_groups(), engine.semlib().n_groups(), "{name}");
     assert_eq!(back.witnesses.len(), engine.witnesses().len(), "{name}");
     // The reloaded artifact drives a working engine with the same mined

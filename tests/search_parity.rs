@@ -51,6 +51,8 @@ fn parallel_search_keeps_the_serial_stream_and_node_count_on_slack() {
     let (serial, serial_outcome, serial_stats) = search(&engine, 1);
     assert_eq!(serial_outcome, SearchOutcome::Exhausted);
     assert!(!serial.is_empty(), "benchmark 1.1 has paths within {MAX_LEN} firings");
+    assert_eq!(serial_stats.dead_shared_hits, 0, "a serial search shares with no worker");
+    assert!(serial_stats.dead_shared_hits <= serial_stats.dead_hits);
     for threads in [2, 4] {
         let (paths, outcome, stats) = search(&engine, threads);
         assert_eq!(outcome, serial_outcome, "{threads} threads");
@@ -74,6 +76,10 @@ fn parallel_search_keeps_the_serial_stream_and_node_count_on_slack() {
         assert!(
             stats.dead_shared_hits > 0,
             "{threads} threads: no worker reused another's dead verdict"
+        );
+        assert!(
+            stats.dead_shared_hits <= stats.dead_hits,
+            "{threads} threads: shared hits are a subset of all hits"
         );
     }
 }
